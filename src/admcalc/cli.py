@@ -106,13 +106,17 @@ def _render_text(records: list[OutputRecord]) -> str:
 _RENDERERS = {"json": _render_json, "csv": _render_csv, "text": _render_text}
 
 
-def _emit(records: list[OutputRecord], fmt: str, output: str | None) -> None:
+def _emit(records: list[OutputRecord], fmt: str, output: str | None) -> int:
     text = _RENDERERS[fmt](records)
     if output is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        return _usage_error(f"cannot write {output}: {exc.strerror}")
+    return 0
 
 
 def _usage_error(message: str) -> int:
@@ -123,10 +127,10 @@ def _usage_error(message: str) -> int:
 # -- verification suites ---------------------------------------------------
 #
 # Each suite returns True on success.  Brute-force Hurwitz genera are capped
-# independently of --gmax so the default invocation stays fast; the caps
-# match the most expensive checks the enumeration can do in seconds.
+# independently of --gmax: each cap is the largest genus whose raw tuple
+# space fits under DEFAULT_MAX_TUPLES.
 
-_HURWITZ_CAPS = {"p3_full": 4, "p3_trans": 5, "p2": 10}
+_HURWITZ_CAPS = {"p3_full": 8, "p3_trans": 7, "p2": 10}
 
 
 def _suite_rel2(gmax: int, order: int) -> bool:
@@ -264,8 +268,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
             OutputRecord("series", args.what, degree=d, order=n,
                          payload=_series_payload(s))
         )
-    _emit(records, args.format, args.output)
-    return 0
+    return _emit(records, args.format, args.output)
 
 
 _TABLE_WHAT = {
@@ -276,6 +279,8 @@ _TABLE_WHAT = {
 
 def _cmd_table(args: argparse.Namespace) -> int:
     what, gmax = args.what, args.gmax
+    if gmax < 0:
+        return _usage_error("gmax must be >= 0")
     degree = _TABLE_WHAT[what]
     if what == "P2":
         values = {g: hodge.p2_closed(g) for g in range(gmax + 1)}
@@ -290,11 +295,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
         "table", what, degree=degree, gmax=gmax,
         payload=_table_payload(values, gmax),
     )
-    _emit([record], args.format, args.output)
-    return 0
+    return _emit([record], args.format, args.output)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.gmax < 0:
+        return _usage_error("gmax must be >= 0")
+    if args.order < 2:
+        return _usage_error("order must be >= 2")
     names = list(_SUITES) if args.suite is None else [args.suite]
     failed = False
     for name in names:

@@ -7,18 +7,29 @@ tuple acts transitively on the d sheets.  Counts are normalised by 1/d!
 (equivalently: tuples are weighted by the reciprocal of the order of S_d),
 so they are rationals, not integers.
 
-Enumeration walks the first n-1 slots and solves for the last permutation,
-so the raw search space is the product of the first n-1 conjugacy class
-sizes.  A hard bound on that product guards against accidental explosions.
+Enumeration folds the first n-1 slots from left to right.  The state after
+a slot is the running product and, for connected counts, the partition of
+the sheets into the orbits of the permutations so far; tuples that reach
+the same state are kept once, with their multiplicity.  The last
+permutation is forced (it inverts the product), so closing the fold checks
+its cycle type and, for connected counts, that it joins the orbits into
+one.  Each conjugacy class is built directly from its cycle structure,
+never by scanning S_d.
+
+A hard bound on the raw search space, the product of the first n-1
+conjugacy class sizes, guards against accidental explosions.  It counts the
+tuples the fold stands for; no slot of the fold holds more states than that.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations as _all_permutations
-from typing import Sequence
+from itertools import permutations
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 __all__ = [
     "DEFAULT_MAX_TUPLES",
@@ -138,16 +149,66 @@ def cycle_type(p: Permutation) -> CycleType:
     return p.cycle_type()
 
 
+def _class_images(d: int, parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Yield each permutation of S_d with cycle type ``parts`` exactly once,
+    as a 0-based image tuple.
+
+    The least point not yet placed opens a cycle of each length still
+    available, and an ordered choice of the cycle's other points follows, so
+    every permutation is built from its cycles written from their least
+    point.  The walk keeps its own stack: a class with many fixed points
+    would otherwise nest one call per point.
+    """
+    left = Counter(parts)
+    images = list(range(d))
+    free = [True] * d
+
+    def complete() -> bool:
+        # Only fixed points remain, and free points already map to themselves.
+        return not any(left[length] for length in left if length > 1)
+
+    def cycles_from(start: int) -> Iterator[bool]:
+        # Each choice is undone before the next, so the state seen when this
+        # frame advances is the state it was created in.
+        free[start] = False
+        others = [i for i in range(start + 1, d) if free[i]]
+        for length in [k for k in left if left[k]]:
+            left[length] -= 1
+            for tail in permutations(others, length - 1):
+                cycle = (start, *tail)
+                for i, j in zip(cycle, (*tail, start)):
+                    images[i] = j
+                for i in tail:
+                    free[i] = False
+                yield True
+                for i in cycle:
+                    images[i] = i
+                for i in tail:
+                    free[i] = True
+            left[length] += 1
+        free[start] = True
+
+    if complete():
+        yield tuple(images)
+        return
+    stack = [cycles_from(0)]
+    while stack:
+        if not next(stack[-1], False):
+            stack.pop()
+        elif complete():
+            yield tuple(images)
+        else:
+            stack.append(cycles_from(free.index(True)))
+
+
 def permutations_with_type(d: int, t: CycleType) -> list[Permutation]:
     """All elements of S_d with the given cycle type (the conjugacy class)."""
     if t.degree != d:
         raise ValueError(f"cycle type {t.parts} does not partition {d}")
-    out = []
-    for images in _all_permutations(range(1, d + 1)):
-        zero_based = tuple(j - 1 for j in images)
-        if _type_of_images(zero_based) == t.parts:
-            out.append(Permutation(images))
-    return out
+    return [
+        Permutation(tuple(j + 1 for j in images))
+        for images in _class_images(d, t.parts)
+    ]
 
 
 def is_transitive(perms: Sequence[Permutation], d: int) -> bool:
@@ -181,27 +242,25 @@ def _merge(part: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
     Partitions are canonical tuples: index i maps to the least element of
     its block, so the single-block partition is all zeros.
     """
-    d = len(part)
-    parent = list(range(d))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if ra > rb:
-            ra, rb = rb, ra
-        parent[rb] = ra
-
-    for i in range(d):
-        union(i, part[i])
-        union(i, images[i])
-    return tuple(find(i) for i in range(d))
+    # Union-find over the block minima; linking the larger root under the
+    # smaller keeps every root the least element of its merged block.
+    root = list(range(len(part)))
+    for a, b in zip(part, images):
+        b = part[b]
+        while root[a] != a:
+            a = root[a]
+        while root[b] != b:
+            b = root[b]
+        if a < b:
+            root[b] = a
+        elif b < a:
+            root[a] = b
+    merged = []
+    for a in part:
+        while root[a] != a:
+            a = root[a]
+        merged.append(a)
+    return tuple(merged)
 
 
 def hurwitz_count(
@@ -233,19 +292,14 @@ def hurwitz_count(
         raise EnumerationBoundError(
             f"search space {raw} exceeds the bound {max_tuples}"
         )
+    if d == 1:
+        # S_1 is trivial: one tuple of identities, transitive on one sheet.
+        # (The fold needs d >= 2: itemgetter of one index is no tuple.)
+        return weight
 
-    # 0-based image tuples, grouped per slot by conjugacy class.
-    class_cache: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for parts in set(types[:-1]):
-        class_cache[parts] = [
-            tuple(j - 1 for j in p.images)
-            for p in permutations_with_type(d, CycleType(parts))
-        ]
-    slots = [class_cache[parts] for parts in types[:-1]]
+    classes = {parts: list(_class_images(d, parts)) for parts in set(types[:-1])}
     last_type = types[-1]
 
-    identity = tuple(range(d))
-    discrete = identity
     single_block = (0,) * d
     merge_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
 
@@ -259,26 +313,27 @@ def hurwitz_count(
             merge_cache[key] = got
         return got
 
-    def count_from(slot: int, product: tuple[int, ...], part: tuple[int, ...]) -> int:
-        if slot == n - 1:
-            # The last permutation is forced: product * last = identity.
-            last = [0] * d
-            for i, j in enumerate(product):
-                last[j] = i
-            last_images = tuple(last)
-            if _type_of_images(last_images) != last_type:
-                return 0
-            if connected and merged(part, last_images) != single_block:
-                return 0
-            return 1
-        total = 0
-        for images in slots[slot]:
-            composed = tuple(images[j] for j in product)
-            total += count_from(slot + 1, composed, merged(part, images))
-        return total
+    identity = tuple(range(d))
+    states = {(identity, identity if connected else single_block): 1}
+    for parts in types[:-1]:
+        folded: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for (product, part), multiplicity in states.items():
+            compose = itemgetter(*product)  # images -> images o product
+            for images in classes[parts]:
+                key = (compose(images), merged(part, images))
+                folded[key] = folded.get(key, 0) + multiplicity
+        states = folded
 
-    start_part = single_block if not connected or d == 1 else discrete
-    return weight * count_from(0, identity, start_part)
+    # The last permutation is forced: product * last = identity.  It is the
+    # inverse of the product, so it has the product's cycles.
+    total = 0
+    for (product, part), multiplicity in states.items():
+        if _type_of_images(product) != last_type:
+            continue
+        if connected and merged(part, product) != single_block:
+            continue
+        total += multiplicity
+    return weight * total
 
 
 def _uniform_profile(d: int, parts: tuple[int, ...], n: int) -> BranchProfile:

@@ -80,9 +80,9 @@ def test_criterion_03_conjecture_to_order_51():
 
 def test_criterion_04_hurwitz_brute_force():
     started = time.perf_counter()
-    for g in range(5):
+    for g in range(9):
         assert p3_full(g) == p3_full_closed(g), f"p3_full({g})"
-    for g in range(6):
+    for g in range(8):
         assert p3_trans(g) == p3_trans_closed(g), f"p3_trans({g})"
     for g in range(11):
         assert p2(g) == p2_closed(g), f"p2({g})"

@@ -239,6 +239,12 @@ def test_hurwitz_bound_flag_and_env(capsys, monkeypatch):
     assert code == 2 and "ADMCALC_MAX_TUPLES" in err
 
 
+def test_hurwitz_many_branch_points(capsys):
+    args = ["hurwitz", "--degree", "2"] + ["--profile", "2"] * 1200
+    code, out, _ = run_cli(capsys, *args)
+    assert (code, out.strip()) == (0, "1/2")
+
+
 # -- usage errors ----------------------------------------------------------
 
 
@@ -250,6 +256,29 @@ def test_unknown_subcommand_and_flag(capsys):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_output_into_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(
+        capsys, "table", "--what", "L2", "--gmax", "2", "--output", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("admcalc: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("what", ["L2", "P2", "P3full", "P3trans"])
+def test_table_negative_gmax(capsys, what):
+    code, out, err = run_cli(capsys, "table", "--what", what, "--gmax", "-3")
+    assert (code, out) == (2, "")
+    assert "gmax" in err
+
+
+@pytest.mark.parametrize("flag", [("--order", "1"), ("--gmax", "-1")])
+def test_verify_validates_before_running(capsys, flag):
+    code, out, err = run_cli(capsys, "verify", "--all", *flag)
+    assert (code, out) == (2, "")
+    assert flag[0][2:] in err
 
 
 def test_series_bad_degree_for_tables(capsys):

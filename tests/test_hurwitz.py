@@ -1,9 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice, product
 from itertools import permutations as orderings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admcalc.hurwitz import (
     BranchProfile,
@@ -18,11 +21,13 @@ from admcalc.hurwitz import (
     p3_trans,
     permutations_with_type,
 )
+from admcalc.hurwitz import _class_images
 
 PARTITIONS = {
     1: [(1,)],
     2: [(2,), (1, 1)],
     3: [(3,), (2, 1), (1, 1, 1)],
+    4: [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)],
 }
 
 
@@ -83,6 +88,31 @@ def test_permutations_with_type_is_the_conjugacy_class(d):
         members = permutations_with_type(d, CycleType(parts))
         assert len(members) == class_size(d, parts)
         assert all(m.cycle_type().parts == parts for m in members)
+
+
+def scanned_classes(d):
+    """Every conjugacy class of S_d, found by filtering all d! permutations."""
+    classes = {}
+    for images in orderings(range(d)):
+        p = Permutation(tuple(j + 1 for j in images))
+        classes.setdefault(p.cycle_type().parts, set()).add(images)
+    return classes
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_class_images_match_the_scan(d):
+    for parts, members in scanned_classes(d).items():
+        built = list(_class_images(d, parts))
+        assert len(built) == len(set(built)) == class_size(d, parts)
+        assert set(built) == members
+
+
+def test_class_images_keep_their_own_stack():
+    # Fixed points tried first put one open cycle per point on the stack;
+    # 1199 of them would overflow the interpreter's recursion limit.
+    parts = (1,) * 1198 + (2,)
+    (first,) = islice(_class_images(1200, parts), 1)
+    assert first == tuple(range(1198)) + (1199, 1198)
 
 
 def test_is_transitive():
@@ -158,6 +188,40 @@ def test_disconnected_dominates_connected_and_integrality():
         assert disc >= conn >= 0
         assert (conn * math.factorial(d)).denominator == 1
         assert (disc * math.factorial(d)).denominator == 1
+
+
+def oracle_count(d, types, connected):
+    """Weighted tuple count from all n slots, independent of the fold."""
+    classes = scanned_classes(d)
+    members = [
+        [Permutation(tuple(j + 1 for j in images)) for images in classes[parts]]
+        for parts in types
+    ]
+    identity = Permutation.identity(d)
+    hits = 0
+    for perms in product(*members):
+        total = identity
+        for p in perms:
+            total = p * total
+        if total == identity and (not connected or is_transitive(perms, d)):
+            hits += 1
+    return Fraction(hits, math.factorial(d))
+
+
+@st.composite
+def small_profiles(draw):
+    d = draw(st.integers(1, 4))
+    types = draw(st.lists(st.sampled_from(PARTITIONS[d]), max_size=4))
+    return d, types
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_profiles(), st.booleans())
+def test_fold_matches_product_oracle(drawn, connected):
+    d, types = drawn
+    assert hurwitz_count(profile(d, *types), connected) == oracle_count(
+        d, types, connected
+    )
 
 
 # -- guardrail -------------------------------------------------------------
