@@ -36,13 +36,12 @@ from .localization import (
     enumerate_loci,
     j2_from_loci,
 )
-from .series import Rational, TruncatedSeries
+from .series import TruncatedSeries
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Rational",
     "TruncatedSeries",
     "HodgeTable",
     "l2_table",

@@ -34,15 +34,14 @@ __all__ = ["OutputRecord", "run", "main"]
 
 @dataclass
 class OutputRecord:
-    """One emitted result: a table, a series, or a verification outcome."""
+    """One emitted result: a table or a series."""
 
-    kind: str  # table | series | verification
+    kind: str  # table | series
     what: str
     degree: int | None = None
     order: int | None = None
     gmax: int | None = None
     payload: list[tuple[int, str]] = field(default_factory=list)
-    status: str | None = None
     note: str | None = None
 
     def to_dict(self) -> dict:
@@ -52,8 +51,6 @@ class OutputRecord:
             if value is not None:
                 out[key] = value
         out["payload"] = [[i, v] for i, v in self.payload]
-        if self.status is not None:
-            out["status"] = self.status
         if self.note is not None:
             out["note"] = self.note
         return out
@@ -63,8 +60,8 @@ def _series_payload(s: TruncatedSeries) -> list[tuple[int, str]]:
     return [(k, str(c)) for k, c in enumerate(s.coeffs) if c]
 
 
-def _table_payload(values: dict[int, Fraction], gmax: int) -> list[tuple[int, str]]:
-    return [(g, str(values[g])) for g in range(gmax + 1)]
+def _table_payload(row: list[Fraction]) -> list[tuple[int, str]]:
+    return [(g, str(value)) for g, value in enumerate(row)]
 
 
 def _render_json(records: list[OutputRecord]) -> str:
@@ -230,6 +227,8 @@ _SUITES = {
 
 def _cmd_series(args: argparse.Namespace) -> int:
     d, n = args.degree, args.order
+    if n < 0:
+        return _usage_error("order must be >= 0")
     records: list[OutputRecord] = []
     if args.what == "conjecture":
         if d < 1:
@@ -283,17 +282,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return _usage_error("gmax must be >= 0")
     degree = _TABLE_WHAT[what]
     if what == "P2":
-        values = {g: hodge.p2_closed(g) for g in range(gmax + 1)}
+        row = [hodge.p2_closed(g) for g in range(gmax + 1)]
     elif what == "P3full":
-        values = {g: hodge.p3_full_closed(g) for g in range(gmax + 1)}
+        row = [hodge.p3_full_closed(g) for g in range(gmax + 1)]
     elif what == "P3trans":
-        values = {g: hodge.p3_trans_closed(g) for g in range(gmax + 1)}
+        row = [hodge.p3_trans_closed(g) for g in range(gmax + 1)]
     else:
         table = hodge.l2_table(gmax) if degree == 2 else hodge.l3_table(gmax)
-        values = {"L": table.L, "I": table.I, "J": table.J}[what[0]]
+        row = {"L": table.L, "I": table.I, "J": table.J}[what[0]]
     record = OutputRecord(
-        "table", what, degree=degree, gmax=gmax,
-        payload=_table_payload(values, gmax),
+        "table", what, degree=degree, gmax=gmax, payload=_table_payload(row)
     )
     return _emit([record], args.format, args.output)
 

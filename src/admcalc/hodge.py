@@ -49,19 +49,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HodgeTable:
-    """Exact tables indexed by genus, for one of the two computed degrees.
+    """Exact tables for one of the two computed degrees; row g is genus g.
 
     ``P_full``/``P_trans`` hold the branched-cover counts entering the
     degree-3 relation and are None at degree 2.
     """
 
     degree: int
-    gmax: int
-    L: dict[int, Fraction]
-    I: dict[int, Fraction]
-    J: dict[int, Fraction]
-    P_full: dict[int, Fraction] | None = None
-    P_trans: dict[int, Fraction] | None = None
+    L: list[Fraction]
+    I: list[Fraction]
+    J: list[Fraction]
+    P_full: list[Fraction] | None = None
+    P_trans: list[Fraction] | None = None
+
+    @property
+    def gmax(self) -> int:
+        return len(self.L) - 1
 
 
 def p2_closed(g: int) -> Fraction:
@@ -85,87 +88,99 @@ def p3_trans_closed(g: int) -> Fraction:
     return Fraction(9 ** (g + 1) - 1, 2)
 
 
-def _j_values(d: int, I: dict[int, Fraction], gmax: int) -> dict[int, Fraction]:
-    # J_d(g) is the EGF-product expansion of d * I_d^2: the exponent carried
-    # by I_d(i) is 2i+d-1, so the binomial splits 2g+2d-2 slots accordingly.
-    out: dict[int, Fraction] = {}
-    for g in range(gmax + 1):
-        total = Fraction(0)
-        for i in range(g + 1):
-            total += comb(2 * g + 2 * d - 2, 2 * i + d - 1) * I[i] * I[g - i]
-        out[g] = d * total
-    return out
+# -- the relations -----------------------------------------------------------
+#
+# Each relation's per-i summands are written once, here.  The tables solve
+# them; the fixed-locus catalogs in ``localization`` attach a locus to each
+# summand, so their identities restate these relations.
+
+
+def _l2_terms(g: int, L2: list[Fraction]) -> list[Fraction]:
+    """Summands (-1)^(g-i+1) C(2g+1, 2i) L2(i), i < g, of 2g L2(g)."""
+    return [(-1) ** (g - i + 1) * comb(2 * g + 1, 2 * i) * L2[i] for i in range(g)]
+
+
+def _l3_weights(
+    g: int, P_full: list[Fraction], P_trans: list[Fraction]
+) -> list[tuple[Fraction, Fraction]]:
+    """Weights (a_i, b_i), i <= g, of the relation sum a_i L3(i) + b_i L2(i) = 0."""
+    return [
+        (
+            Fraction(2, 3) * comb(2 * g + 3, 2 * i + 1)
+            * (-1) ** (g - i + 1) * P_full[g - i],
+            comb(2 * g + 3, 2 * i) * (-1) ** (g - i) * P_trans[g - i],
+        )
+        for i in range(g + 1)
+    ]
+
+
+def _j_terms(d: int, g: int, I: list[Fraction]) -> list[Fraction]:
+    """Summands d C(2g+2d-2, 2i+d-1) I_d(i) I_d(g-i), i <= g, of J_d(g).
+
+    This is the EGF-product expansion of d * I_d^2: I_d(i) sits at exponent
+    2i+d-1, so the binomial splits the 2g+2d-2 slots accordingly.
+    """
+    return [
+        d * comb(2 * g + 2 * d - 2, 2 * i + d - 1) * I[i] * I[g - i]
+        for i in range(g + 1)
+    ]
+
+
+def _j_values(d: int, I: list[Fraction]) -> list[Fraction]:
+    return [sum(_j_terms(d, g, I)) for g in range(len(I))]
 
 
 def l2_table(gmax: int) -> HodgeTable:
     """L2, I2, J2 for all genera up to gmax, from the recursion."""
     if gmax < 0:
         raise ValueError("gmax must be >= 0")
-    L: dict[int, Fraction] = {0: Fraction(1, 2)}
+    L = [Fraction(1, 2)]
     for g in range(1, gmax + 1):
-        acc = Fraction(0)
-        for i in range(g):
-            acc += (-1) ** (g - i + 1) * comb(2 * g + 1, 2 * i) * L[i]
-        L[g] = acc / (2 * g)
-    I = {g: -L[g] / 2 for g in range(gmax + 1)}
-    J = _j_values(2, I, gmax)
-    return HodgeTable(degree=2, gmax=gmax, L=L, I=I, J=J)
+        L.append(sum(_l2_terms(g, L)) / (2 * g))
+    I = [-value / 2 for value in L]
+    return HodgeTable(degree=2, L=L, I=I, J=_j_values(2, I))
 
 
 def l3_table(gmax: int) -> HodgeTable:
     """L3, I3, J3 up to gmax, by solving the mixed-degree relation.
 
     The genus-g instance of the relation involves L3(i) for i <= g; the
-    i = g term carries the nonzero coefficient -(2/3) C(2g+3, 2), so it can
-    be solved for L3(g) once all lower entries are known.  No seed value is
-    assumed: g = 0 already determines L3(0) = 1.
+    i = g weight -(2/3) C(2g+3, 2) is nonzero, so it can be solved for L3(g)
+    once all lower entries are known.  No seed value is assumed: g = 0
+    already determines L3(0) = 1.
     """
     if gmax < 0:
         raise ValueError("gmax must be >= 0")
     L2 = l2_table(gmax).L
-    P_full = {g: p3_full_closed(g) for g in range(gmax + 1)}
-    P_trans = {g: p3_trans_closed(g) for g in range(gmax + 1)}
-    L3: dict[int, Fraction] = {}
+    P_full = [p3_full_closed(g) for g in range(gmax + 1)]
+    P_trans = [p3_trans_closed(g) for g in range(gmax + 1)]
+    L3: list[Fraction] = []
     for g in range(gmax + 1):
-        acc = Fraction(0)
-        for i in range(g):
-            acc += (
-                Fraction(2, 3)
-                * comb(2 * g + 3, 2 * i + 1)
-                * (-1) ** (g - i + 1)
-                * P_full[g - i]
-                * L3[i]
-            )
-        for i in range(g + 1):
-            acc += (
-                comb(2 * g + 3, 2 * i)
-                * (-1) ** (g - i)
-                * P_trans[g - i]
-                * L2[i]
-            )
-        L3[g] = acc / (Fraction(2, 3) * comb(2 * g + 3, 2))
-    I = {g: Fraction(2, 9) * L3[g] for g in range(gmax + 1)}
-    J = _j_values(3, I, gmax)
+        weights = _l3_weights(g, P_full, P_trans)
+        known = sum(a * l3 for (a, _), l3 in zip(weights, L3))
+        known += sum(b * l2 for (_, b), l2 in zip(weights, L2))
+        L3.append(-known / weights[g][0])
+    I = [Fraction(2, 9) * value for value in L3]
     return HodgeTable(
-        degree=3, gmax=gmax, L=L3, I=I, J=J, P_full=P_full, P_trans=P_trans
+        degree=3, L=L3, I=I, J=_j_values(3, I), P_full=P_full, P_trans=P_trans
     )
 
 
-def _exponent(degree: int, g: int) -> int:
-    # Both L-families sit at exponent 2g + d - 1 in their EGF.
-    return 2 * g + degree - 1
+def _row_series(degree: int, row: list[Fraction], order: int) -> TruncatedSeries:
+    # Both L-families, and so the I-families, sit at exponent 2g + d - 1.
+    return TruncatedSeries.from_egf(
+        (
+            (2 * g + degree - 1, value)
+            for g, value in enumerate(row)
+            if 2 * g + degree - 1 <= order
+        ),
+        order,
+    )
 
 
 def l_series(table: HodgeTable, order: int) -> TruncatedSeries:
     """EGF of the table's L-values, truncated at the given order."""
-    return TruncatedSeries.from_egf(
-        (
-            (_exponent(table.degree, g), table.L[g])
-            for g in range(table.gmax + 1)
-            if _exponent(table.degree, g) <= order
-        ),
-        order,
-    )
+    return _row_series(table.degree, table.L, order)
 
 
 def _table_for_order(degree: int, order: int) -> HodgeTable:
@@ -215,15 +230,7 @@ def i_series(d: int, N: int) -> TruncatedSeries:
     """EGF of the one-point invariants I_d(g), from the tables."""
     if d not in (2, 3):
         raise ValueError("one-point tables exist only for degrees 2 and 3")
-    table = _table_for_order(d, N)
-    return TruncatedSeries.from_egf(
-        (
-            (_exponent(d, g), table.I[g])
-            for g in range(table.gmax + 1)
-            if _exponent(d, g) <= N
-        ),
-        N,
-    )
+    return _row_series(d, _table_for_order(d, N).I, N)
 
 
 def j_series(d: int, N: int) -> TruncatedSeries:
@@ -245,14 +252,15 @@ def p3_trans_series(N: int) -> TruncatedSeries:
 
 
 def j_relation_check(g: int) -> bool:
-    """Compare the binomial-sum J2(g) with the square-identity route."""
+    """Compare the binomial-sum J2(g) with the square-identity route.
+
+    Both sides expand the same product 2 * I2^2, one as the J convolution
+    the table uses and one as a series product, so this restates the table's
+    J recursion rather than testing it against an independent route.
+    """
     if g < 0:
         raise ValueError("genus must be >= 0")
-    L2 = l2_table(g).L
-    binomial_sum = Fraction(0)
-    for i in range(g + 1):
-        binomial_sum += comb(2 * g + 2, 2 * i + 1) * L2[i] * L2[g - i]
-    binomial_sum /= 2
+    binomial_sum = sum(_j_terms(2, g, l2_table(g).I))
     return binomial_sum == egf_value(j_series(2, 2 * g + 2), 2 * g + 2)
 
 

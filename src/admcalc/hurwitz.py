@@ -37,7 +37,6 @@ __all__ = [
     "Permutation",
     "CycleType",
     "BranchProfile",
-    "cycle_type",
     "permutations_with_type",
     "is_transitive",
     "hurwitz_count",
@@ -99,12 +98,6 @@ class Permutation:
             raise ValueError("degrees differ")
         return Permutation(tuple(self.images[j - 1] for j in other.images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images, start=1):
-            inv[j - 1] = i
-        return Permutation(tuple(inv))
-
     def cycle_type(self) -> "CycleType":
         zero_based = tuple(j - 1 for j in self.images)
         return CycleType(_type_of_images(zero_based))
@@ -143,10 +136,6 @@ class BranchProfile:
                 raise ValueError(
                     f"cycle type {t.parts} does not partition {self.degree}"
                 )
-
-
-def cycle_type(p: Permutation) -> CycleType:
-    return p.cycle_type()
 
 
 def _class_images(d: int, parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -14,7 +14,14 @@ substituted.  Three families are catalogued:
 
 The raw equivariant data (Hodge bundle weights, psi-class denominators,
 normal bundle factors) is not modelled; only the reduced outcome per locus
-is, which is what the identities consume.
+is, which is what the identities consume.  The reduced outcomes are the
+summands of the relations in ``hodge`` (``_l2_terms``, ``_l3_weights``,
+``_j_terms``): a catalog attaches a locus kind, genera and an hbar exponent
+to each summand.  So the linearization check (acceptance criterion 5) and
+the vanishing check (criterion 6) restate the L2 and L3 recursions, and
+``j2_from_loci`` sums the convolution that builds the J2 table; they catch
+a table that disagrees with its own recursion, not an error in the
+recursion itself.
 """
 
 from __future__ import annotations
@@ -22,9 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
 
-from .hodge import HodgeTable, l2_table, l3_table, p2_closed
+from .hodge import (
+    HodgeTable,
+    _j_terms,
+    _l2_terms,
+    _l3_weights,
+    l2_table,
+    l3_table,
+    p2_closed,
+)
 
 __all__ = [
     "LocusKind",
@@ -73,77 +87,59 @@ class FixedLocusTerm:
 _FAMILIES = {2: ("linA", "linB", "J"), 3: ("aux",)}
 
 
-def _deg2_linA_terms(g: int, L2: dict[int, Fraction]) -> list[FixedLocusTerm]:
+def _deg2_linA_terms(g: int, l2: HodgeTable) -> list[FixedLocusTerm]:
     # Single locus: genus-g component over 0, its lambda-lambda-psi sum
     # giving L2(g), with overall weight -1/2.
     return [
-        FixedLocusTerm(2, LocusKind.DEG2_A_MAIN, (g,), -L2[g] / 2, 0)
+        FixedLocusTerm(2, LocusKind.DEG2_A_MAIN, (g,), -l2.L[g] / 2, 0)
     ]
 
 
-def _deg2_linB_terms(g: int, L2: dict[int, Fraction]) -> list[FixedLocusTerm]:
+def _deg2_linB_terms(g: int, l2: HodgeTable) -> list[FixedLocusTerm]:
     terms = [
         # 2g+1 copies of the space with the genus on the far side.
         FixedLocusTerm(
-            2, LocusKind.DEG2_B_INFTY, (g,), -Fraction(2 * g + 1, 2) * L2[g], 0
+            2, LocusKind.DEG2_B_INFTY, (g,), -Fraction(2 * g + 1, 2) * l2.L[g], 0
         )
     ]
-    # Genus split g1 over 0 (psi-power side, count P2) and g2 over infinity
-    # (L-side); 2i of the 2g+1 free branch points go to the g1 side.
-    for i in range(g - 1, 0, -1):
-        g1, g2 = g - i, i
-        coeff = (
-            (-1) ** (g1 + 1)
-            * comb(2 * g + 1, 2 * i)
-            * p2_closed(g1)
-            * L2[i]
-        )
-        terms.append(
-            FixedLocusTerm(2, LocusKind.DEG2_B_SPLIT, (g1, g2), coeff, 0)
-        )
-    if g > 0:
-        # Degenerate split: everything over 0, the far side reduced to the
-        # seed value L(0) = 1/2.
-        coeff = (-1) ** (g + 1) * p2_closed(g) * Fraction(1, 2)
-        terms.append(FixedLocusTerm(2, LocusKind.DEG2_B_MAIN, (g,), coeff, 0))
+    # Genus split g1 = g-i over 0 (psi-power side, count P2) and i over
+    # infinity (L-side); 2i of the 2g+1 free branch points go to the L side.
+    # At i = 0 everything sits over 0 and the far side is the seed L2(0).
+    # Each locus is an L2-recursion summand times P2(g1) = 1/2, so the sum
+    # is -L2(g)/2 exactly when the recursion holds.
+    recursion = _l2_terms(g, l2.L)
+    for i in reversed(range(g)):
+        g1 = g - i
+        if i > 0:
+            kind, genera = LocusKind.DEG2_B_SPLIT, (g1, i)
+        else:
+            kind, genera = LocusKind.DEG2_B_MAIN, (g,)
+        coeff = recursion[i] * p2_closed(g1)
+        terms.append(FixedLocusTerm(2, kind, genera, coeff, 0))
     return terms
 
 
-def _deg3_aux_terms(
-    g: int, L2: dict[int, Fraction], t3: HodgeTable
-) -> list[FixedLocusTerm]:
-    assert t3.P_full is not None and t3.P_trans is not None
+def _deg3_aux_terms(g: int, l2: HodgeTable, l3: HodgeTable) -> list[FixedLocusTerm]:
+    assert l3.P_full is not None and l3.P_trans is not None
+    weights = _l3_weights(g, l3.P_full, l3.P_trans)
     terms = []
     # Full-ramification family: psi-power side of genus g1 = g-i counted by
     # P3_full, lambda side of genus i contributing L3(i); 2i+1 of the 2g+3
     # free points sit on the lambda side, gluing multiplicity 3 and weight
     # 2/9 already folded into the displayed 2/3.
-    for i in range(g + 1):
+    for i, (a, _) in enumerate(weights):
         g1 = g - i
-        coeff = (
-            Fraction(2, 3)
-            * comb(2 * g + 3, 2 * i + 1)
-            * (-1) ** (g1 + 1)
-            * t3.P_full[g1]
-            * t3.L[i]
-        )
         if g1 == 0 and g > 0:
             kind = LocusKind.AUX_ZERO_MAIN
         elif i == 0:
             kind = LocusKind.AUX_MAIN_ZERO
         else:
             kind = LocusKind.AUX_SPLIT
-        terms.append(FixedLocusTerm(3, kind, (g1, i), coeff, -1))
+        terms.append(FixedLocusTerm(3, kind, (g1, i), a * l3.L[i], -1))
     # Node-bridge family: transposition-count side of genus g1 = g-i counted
     # by P3_trans, double-cover lambda side of genus i contributing L2(i).
-    for i in range(g + 1):
+    for i, (_, b) in enumerate(weights):
         g1 = g - i
-        coeff = (
-            comb(2 * g + 3, 2 * i)
-            * (-1) ** g1
-            * t3.P_trans[g1]
-            * L2[i]
-        )
         if g1 == 0 and g > 0:
             kind = LocusKind.AUX_ZERO_MAIN_NODE
             genera: tuple[int, ...] = (0, g)
@@ -153,25 +149,25 @@ def _deg3_aux_terms(
         else:
             kind = LocusKind.AUX_SPLIT_NODE
             genera = (g1, i)
-        terms.append(FixedLocusTerm(3, kind, genera, coeff, -1))
+        terms.append(FixedLocusTerm(3, kind, genera, b * l2.L[i], -1))
     return terms
 
 
-def _j_terms(g: int, L2: dict[int, Fraction]) -> list[FixedLocusTerm]:
-    # One term per split i (genus over 0) + (g-i) (genus over infinity):
-    # (1/2) C(2g+2, 2i+1) L2(i) L2(g-i).  The two single-sided end terms
-    # reduce via L2(0) = 1/2 to (1/4)(2g+2) L2(g) each; at g = 0 they are
-    # one and the same locus, so exactly one term is emitted.
+def _j_loci(g: int, l2: HodgeTable) -> list[FixedLocusTerm]:
+    # One locus per split i (genus over 0) + (g-i) (genus over infinity),
+    # worth the J2 convolution summand 2 C(2g+2, 2i+1) I2(i) I2(g-i).  At
+    # g = 0 the two single-sided end loci are one and the same, so exactly
+    # one term is emitted.
+    summands = _j_terms(2, g, l2.I)
     terms = []
-    for i in range(g, -1, -1):
-        coeff = Fraction(comb(2 * g + 2, 2 * i + 1), 2) * L2[i] * L2[g - i]
+    for i in reversed(range(g + 1)):
         if i == g:
             kind, genera = LocusKind.J_LEFT, (g,)
         elif i == 0:
             kind, genera = LocusKind.J_RIGHT, (g,)
         else:
             kind, genera = LocusKind.J_SPLIT, (i, g - i)
-        terms.append(FixedLocusTerm(2, kind, genera, coeff, 0))
+        terms.append(FixedLocusTerm(2, kind, genera, summands[i], 0))
     return terms
 
 
@@ -198,14 +194,14 @@ def enumerate_loci(
     if l2 is None:
         l2 = l2_table(g)
     if family == "linA":
-        return _deg2_linA_terms(g, l2.L)
+        return _deg2_linA_terms(g, l2)
     if family == "linB":
-        return _deg2_linB_terms(g, l2.L)
+        return _deg2_linB_terms(g, l2)
     if family == "J":
-        return _j_terms(g, l2.L)
+        return _j_loci(g, l2)
     if l3 is None:
         l3 = l3_table(g)
-    return _deg3_aux_terms(g, l2.L, l3)
+    return _deg3_aux_terms(g, l2, l3)
 
 
 def deg2_linA(g: int, l2: HodgeTable | None = None) -> Fraction:

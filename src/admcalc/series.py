@@ -3,8 +3,8 @@
 Every coefficient is a ``fractions.Fraction``; no value ever passes through
 floating point.  A series carries its truncation order N (the largest tracked
 exponent), and each operation states the order of its result.  Binary
-operations insist on equal orders unless asked to be permissive, so order
-bookkeeping mistakes surface as errors instead of silently wrong tails.
+operations insist on equal orders, so order bookkeeping mistakes surface as
+errors instead of silently wrong tails.
 """
 
 from __future__ import annotations
@@ -13,24 +13,15 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-# Exact scalar type used across the package.
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
     "TruncatedSeries",
     "OrderMismatchError",
     "SeriesDivisionError",
-    "add",
-    "mul",
     "div",
-    "derive",
-    "integrate",
     "sin_scaled",
     "cos_scaled",
-    "egf_coeff",
     "egf_value",
 ]
 
@@ -270,34 +261,8 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self._coeffs)!r})"
 
 
-def _common_order(f: TruncatedSeries, g: TruncatedSeries, permissive: bool):
-    if f.order == g.order:
-        return f, g
-    if not permissive:
-        raise OrderMismatchError(f"orders differ: {f.order} != {g.order}")
-    n = min(f.order, g.order)
-    return f.truncate(n), g.truncate(n)
-
-
-def add(f: TruncatedSeries, g: TruncatedSeries, *, permissive: bool = False) -> TruncatedSeries:
-    """Sum at the shared order; permissive mode truncates to the minimum."""
-    f, g = _common_order(f, g, permissive)
-    return f + g
-
-
-def mul(f: TruncatedSeries, g: TruncatedSeries, *, permissive: bool = False) -> TruncatedSeries:
-    """Cauchy product at the shared order; permissive mode truncates first."""
-    f, g = _common_order(f, g, permissive)
-    return f * g
-
-
 def _div_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Quotient h with h*g = f.
-
-    If g has valuation v > 0 then f must be divisible by x^v as well; the
-    common factor is cancelled and the result has order N - v.  With an
-    invertible g (v = 0) the result keeps order N.
-    """
+    # The one quotient body, behind both ``div`` and ``f / g``.
     f._check_order(g)
     n = f.order
     v = g.valuation()
@@ -324,18 +289,14 @@ def _div_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def div(f: TruncatedSeries, g: TruncatedSeries, *, permissive: bool = False) -> TruncatedSeries:
-    """Series quotient; see ``TruncatedSeries.__truediv__`` for the contract."""
-    f, g = _common_order(f, g, permissive)
+def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """Quotient h with h*g = f, the same as ``f / g``; orders must match.
+
+    If g has valuation v > 0 then f must be divisible by x^v as well; the
+    common factor is cancelled and the result has order N - v.  With an
+    invertible g (v = 0) the result keeps order N.
+    """
     return _div_series(f, g)
-
-
-def derive(f: TruncatedSeries) -> TruncatedSeries:
-    return f.derivative()
-
-
-def integrate(f: TruncatedSeries, constant: Scalar = 0) -> TruncatedSeries:
-    return f.antiderivative(constant)
 
 
 def sin_scaled(a: Scalar, order: int) -> TruncatedSeries:
@@ -362,11 +323,6 @@ def cos_scaled(a: Scalar, order: int) -> TruncatedSeries:
         coeffs[k] = sign * a**k / math.factorial(k)
         sign = -sign
     return TruncatedSeries(coeffs)
-
-
-def egf_coeff(f: TruncatedSeries, k: int) -> Fraction:
-    """Plain coefficient of x^k (errors if k exceeds the order)."""
-    return f.coeff(k)
 
 
 def egf_value(f: TruncatedSeries, k: int) -> Fraction:

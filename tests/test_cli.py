@@ -281,6 +281,14 @@ def test_verify_validates_before_running(capsys, flag):
     assert flag[0][2:] in err
 
 
+@pytest.mark.parametrize("what", ["I", "J", "L", "P", "conjecture"])
+def test_series_negative_order(capsys, what):
+    code, out, err = run_cli(
+        capsys, "series", "--degree", "3", "--what", what, "--order", "-1"
+    )
+    assert (code, out, err) == (2, "", "admcalc: order must be >= 0\n")
+
+
 def test_series_bad_degree_for_tables(capsys):
     code, _, err = run_cli(capsys, "series", "--degree", "7", "--what", "I")
     assert code == 2 and "degree 2 or 3" in err

@@ -39,8 +39,8 @@ def test_l3_spot_values():
     t = l3_table(3)
     assert [t.L[g] for g in range(3)] == [1, 3, 21]
     assert t.L[3] == F(809, 3)
-    assert t.P_full == {g: 9**g for g in range(4)}
-    assert t.P_trans == {g: F(9 ** (g + 1) - 1, 2) for g in range(4)}
+    assert t.P_full == [9**g for g in range(4)]
+    assert t.P_trans == [F(9 ** (g + 1) - 1, 2) for g in range(4)]
 
 
 def test_table_invariants():
@@ -191,11 +191,11 @@ def test_ode_residual_orders():
 
 
 def perturbed_l_series(table, order, bump_at, delta):
-    values = dict(table.L)
+    values = list(table.L)
     values[bump_at] += delta
     exponent = lambda g: 2 * g + table.degree - 1
     return TruncatedSeries.from_egf(
-        ((exponent(g), values[g]) for g in values if exponent(g) <= order),
+        ((exponent(g), v) for g, v in enumerate(values) if exponent(g) <= order),
         order,
     )
 

@@ -71,15 +71,32 @@ def test_aux_residual_spot_structure():
 
 def test_perturbed_p3_trans_breaks_vanishing():
     t3 = l3_table(4)
-    bumped = dataclasses.replace(t3, P_trans={**t3.P_trans, 0: F(5)})
+    bumped = dataclasses.replace(t3, P_trans=[F(5), *t3.P_trans[1:]])
     for g in range(5):
         assert deg3_aux_residual(g, l3=bumped) != 0
 
 
 def test_perturbed_l3_breaks_vanishing():
     t3 = l3_table(4)
-    bumped = dataclasses.replace(t3, L={**t3.L, 1: t3.L[1] + 1})
+    bumped = dataclasses.replace(t3, L=[t3.L[0], t3.L[1] + 1, *t3.L[2:]])
     assert deg3_aux_residual(1, l3=bumped) != 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_perturbed_l2_breaks_linearizations_and_j(k):
+    # The linB and J catalogs read every L2/I2 row they use from the table
+    # passed in, the seed row L2(0) included.
+    t2 = l2_table(6)
+    L, I = list(t2.L), list(t2.I)
+    L[k] += 1
+    I[k] = -L[k] / 2
+    bumped = dataclasses.replace(t2, L=L, I=I)
+    tan_sq = closed_form_L2(14) ** 2
+    assert any(deg2_linA(g, l2=bumped) != deg2_linB(g, l2=bumped) for g in range(k, 7))
+    assert any(
+        j2_from_loci(g, l2=bumped) != egf_value(tan_sq, 2 * g + 2) / 2
+        for g in range(k, 7)
+    )
 
 
 def test_locus_kind_coverage():
