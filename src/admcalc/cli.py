@@ -123,11 +123,10 @@ def _usage_error(message: str) -> int:
 
 # -- verification suites ---------------------------------------------------
 #
-# Each suite returns True on success.  Brute-force Hurwitz genera are capped
-# independently of --gmax: each cap is the largest genus whose raw tuple
-# space fits under DEFAULT_MAX_TUPLES.
-
-_HURWITZ_CAPS = {"p3_full": 8, "p3_trans": 7, "p2": 10}
+# Each suite returns True on success.  The Hurwitz suite runs each family
+# from genus 0 up to --gmax and stops it at the first genus the enumeration
+# bound refuses: the raw tuple count grows with the genus, so every later
+# genus would be refused too.
 
 
 def _suite_rel2(gmax: int, order: int) -> bool:
@@ -171,15 +170,19 @@ def _suite_conjecture(gmax: int, order: int) -> bool:
 
 
 def _suite_hurwitz(gmax: int, order: int) -> bool:
-    for g in range(min(gmax, _HURWITZ_CAPS["p3_full"]) + 1):
-        if p3_full(g) != hodge.p3_full_closed(g):
-            return False
-    for g in range(min(gmax, _HURWITZ_CAPS["p3_trans"]) + 1):
-        if p3_trans(g) != hodge.p3_trans_closed(g):
-            return False
-    for g in range(min(gmax, _HURWITZ_CAPS["p2"]) + 1):
-        if p2(g) != hodge.p2_closed(g):
-            return False
+    families = (
+        (p3_full, hodge.p3_full_closed),
+        (p3_trans, hodge.p3_trans_closed),
+        (p2, hodge.p2_closed),
+    )
+    for count, closed in families:
+        for g in range(gmax + 1):
+            try:
+                value = count(g)
+            except EnumerationBoundError:
+                break
+            if value != closed(g):
+                return False
     return True
 
 
@@ -261,8 +264,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         elif args.what == "J":
             s = hodge.j_series(d, n)
         else:  # L
-            table = hodge.l2_table(n // 2) if d == 2 else hodge.l3_table(n // 2)
-            s = hodge.l_series(table, n)
+            s = hodge.l_series(hodge._table_for_order(d, n), n)
         records.append(
             OutputRecord("series", args.what, degree=d, order=n,
                          payload=_series_payload(s))
@@ -289,7 +291,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         row = [hodge.p3_trans_closed(g) for g in range(gmax + 1)]
     else:
         table = hodge.l2_table(gmax) if degree == 2 else hodge.l3_table(gmax)
-        row = {"L": table.L, "I": table.I, "J": table.J}[what[0]]
+        row = getattr(table, what[0])
     record = OutputRecord(
         "table", what, degree=degree, gmax=gmax, payload=_table_payload(row)
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 
 from .series import TruncatedSeries, cos_scaled, div, egf_value, sin_scaled
@@ -49,22 +50,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HodgeTable:
-    """Exact tables for one of the two computed degrees; row g is genus g.
+    """The solved L-row for one of the two computed degrees; row g is genus g.
 
-    ``P_full``/``P_trans`` hold the branched-cover counts entering the
-    degree-3 relation and are None at degree 2.
+    ``P_full``/``P_trans`` hold the branched-cover counts the degree-3 row
+    was solved with and are None at degree 2.  The one- and two-point rows
+    ``I`` and ``J`` are read off ``L`` when first used.
     """
 
     degree: int
     L: list[Fraction]
-    I: list[Fraction]
-    J: list[Fraction]
     P_full: list[Fraction] | None = None
     P_trans: list[Fraction] | None = None
 
     @property
     def gmax(self) -> int:
         return len(self.L) - 1
+
+    @cached_property
+    def I(self) -> list[Fraction]:
+        """I2 = -L2/2 and I3 = (2/9) L3."""
+        scale = Fraction(-1, 2) if self.degree == 2 else Fraction(2, 9)
+        return [scale * value for value in self.L]
+
+    @cached_property
+    def J(self) -> list[Fraction]:
+        """J_d(g), the EGF coefficients of d * I_d^2."""
+        return [sum(_j_terms(self.degree, g, self.I)) for g in range(len(self.L))]
 
 
 def p2_closed(g: int) -> Fraction:
@@ -126,23 +137,18 @@ def _j_terms(d: int, g: int, I: list[Fraction]) -> list[Fraction]:
     ]
 
 
-def _j_values(d: int, I: list[Fraction]) -> list[Fraction]:
-    return [sum(_j_terms(d, g, I)) for g in range(len(I))]
-
-
 def l2_table(gmax: int) -> HodgeTable:
-    """L2, I2, J2 for all genera up to gmax, from the recursion."""
+    """L2 for all genera up to gmax, from the recursion."""
     if gmax < 0:
         raise ValueError("gmax must be >= 0")
     L = [Fraction(1, 2)]
     for g in range(1, gmax + 1):
         L.append(sum(_l2_terms(g, L)) / (2 * g))
-    I = [-value / 2 for value in L]
-    return HodgeTable(degree=2, L=L, I=I, J=_j_values(2, I))
+    return HodgeTable(degree=2, L=L)
 
 
 def l3_table(gmax: int) -> HodgeTable:
-    """L3, I3, J3 up to gmax, by solving the mixed-degree relation.
+    """L3 up to gmax, by solving the mixed-degree relation.
 
     The genus-g instance of the relation involves L3(i) for i <= g; the
     i = g weight -(2/3) C(2g+3, 2) is nonzero, so it can be solved for L3(g)
@@ -160,10 +166,7 @@ def l3_table(gmax: int) -> HodgeTable:
         known = sum(a * l3 for (a, _), l3 in zip(weights, L3))
         known += sum(b * l2 for (_, b), l2 in zip(weights, L2))
         L3.append(-known / weights[g][0])
-    I = [Fraction(2, 9) * value for value in L3]
-    return HodgeTable(
-        degree=3, L=L3, I=I, J=_j_values(3, I), P_full=P_full, P_trans=P_trans
-    )
+    return HodgeTable(degree=3, L=L3, P_full=P_full, P_trans=P_trans)
 
 
 def _row_series(degree: int, row: list[Fraction], order: int) -> TruncatedSeries:
@@ -184,6 +187,7 @@ def l_series(table: HodgeTable, order: int) -> TruncatedSeries:
 
 
 def _table_for_order(degree: int, order: int) -> HodgeTable:
+    """The table whose rows fill a row series truncated at ``order``."""
     gmax = max(0, (order - degree + 1) // 2)
     return l2_table(gmax) if degree == 2 else l3_table(gmax)
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from admcalc import cli
+from admcalc import cli, hodge
 from admcalc.cli import OutputRecord, run
 
 
@@ -158,6 +158,50 @@ def test_table_rationals_never_floats(capsys):
         assert "." not in value and "e" not in value.lower()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--what", "L2", "--gmax", "6"],
+        ["table", "--what", "L3", "--gmax", "6"],
+        ["table", "--what", "I2", "--gmax", "6"],
+        ["table", "--what", "I3", "--gmax", "6"],
+        ["series", "--degree", "2", "--what", "I", "--order", "13"],
+        ["series", "--degree", "3", "--what", "I", "--order", "13"],
+        ["series", "--degree", "2", "--what", "L", "--order", "13"],
+        ["series", "--degree", "3", "--what", "L", "--order", "13"],
+    ],
+    ids=" ".join,
+)
+def test_l_and_i_requests_build_no_j_row(capsys, monkeypatch, argv):
+    expected = run_cli(capsys, *argv)
+
+    def no_j(*args):
+        raise AssertionError("J row computed")
+
+    monkeypatch.setattr(hodge, "_j_terms", no_j)
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0
+
+
+@pytest.mark.parametrize("degree, order", [(2, 8), (3, 9)])
+def test_series_L_table_sized_by_order(capsys, monkeypatch, degree, order):
+    # Row g sits at exponent 2g+d-1, so order 8 (d=2) and 9 (d=3) need g <= 3.
+    built = []
+    for name in ("l2_table", "l3_table"):
+        builder = getattr(hodge, name)
+
+        def spy(gmax, builder=builder):
+            built.append(gmax)
+            return builder(gmax)
+
+        monkeypatch.setattr(hodge, name, spy)
+    code, _, _ = run_cli(
+        capsys, "series", "--degree", str(degree), "--what", "L", "--order", str(order)
+    )
+    assert code == 0
+    assert built and set(built) == {3}
+
+
 # -- verify ----------------------------------------------------------------
 
 
@@ -180,6 +224,28 @@ def test_verify_reports_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--all", "--gmax", "2", "--order", "6")
     assert code == 1
     assert "rel2: fail" in out
+
+
+def test_verify_hurwitz_range_follows_the_bound(capsys, monkeypatch):
+    # Each family runs to --gmax unless the enumeration bound refuses a genus
+    # first; p2's raw tuple count is 1 at every genus, so it is never refused.
+    counted = {}
+    for name in ("p3_full", "p3_trans", "p2"):
+        count = getattr(cli, name)
+
+        def spy(g, count=count, name=name):
+            value = count(g)
+            counted.setdefault(name, []).append(g)
+            return value
+
+        monkeypatch.setattr(cli, name, spy)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "hurwitz", "--gmax", "12")
+    assert (code, out) == (0, "hurwitz: pass\n")
+    assert counted == {
+        "p3_full": list(range(9)),
+        "p3_trans": list(range(8)),
+        "p2": list(range(13)),
+    }
 
 
 def test_verify_all_and_suite_conflict(capsys):

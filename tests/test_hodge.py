@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,21 @@ def test_table_invariants():
         assert t3.I[g] == F(2, 9) * t3.L[g]
     assert t2.J[0] == F(1, 4) and t2.J[1] == F(1, 2)
     assert t3.I[0] == F(2, 9) and t3.J[0] == F(8, 9)
+
+
+@pytest.mark.parametrize("build", [l2_table, l3_table])
+def test_derived_rows_follow_a_replaced_l(build):
+    t = build(5)
+    bumped = dataclasses.replace(t, L=[t.L[0], t.L[1] + 1, *t.L[2:]])
+    d, order = t.degree, 2 * t.gmax + 2 * t.degree - 2
+    scale = F(-1, 2) if d == 2 else F(2, 9)
+    assert bumped.I == [scale * value for value in bumped.L]
+    i_row = TruncatedSeries.from_egf(
+        ((2 * g + d - 1, value) for g, value in enumerate(bumped.I)), order
+    )
+    square = d * i_row * i_row
+    assert bumped.J == [egf_value(square, 2 * g + 2 * d - 2) for g in range(t.gmax + 1)]
+    assert bumped.J != t.J
 
 
 def test_table_validation():

@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,3 +15,25 @@ def test_public_names_resolve(name):
     module = importlib.import_module(name)
     missing = [public for public in module.__all__ if not hasattr(module, public)]
     assert missing == []
+
+
+def test_traced_benchmark_installs():
+    # The traced benchmark run wraps package functions by the names it looks
+    # up; a renamed or deleted one breaks its install.
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(str(root / part) for part in ("src", "perfbench"))
+    script = (
+        "import spans\n"
+        "from admcalc import cli\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "assert cli.run(['table', '--what', 'J3', '--gmax', '2']) == 0\n"
+        "assert tracer.n['hodge.table_calls'] == 2\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
