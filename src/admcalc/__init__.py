@@ -24,7 +24,6 @@ from .hurwitz import (
     BranchProfile,
     CycleType,
     EnumerationBoundError,
-    Permutation,
     hurwitz_count,
 )
 from .localization import (
@@ -54,7 +53,6 @@ __all__ = [
     "j_relation_check",
     "ode_residual_deg2",
     "ode_residual_deg3",
-    "Permutation",
     "CycleType",
     "BranchProfile",
     "hurwitz_count",

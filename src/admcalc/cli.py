@@ -11,8 +11,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -123,23 +123,47 @@ def _usage_error(message: str) -> int:
 
 # -- verification suites ---------------------------------------------------
 #
-# Each suite returns True on success.  The Hurwitz suite runs each family
-# from genus 0 up to --gmax and stops it at the first genus the enumeration
-# bound refuses: the raw tuple count grows with the genus, so every later
-# genus would be refused too.
+# Each suite returns True on success.  It reads its tables from
+# ``tables(degree, gmax)``, the getter of one ``verify`` invocation, asking
+# for the genus it needs: --gmax for the genus-range suites, and the reach
+# of --order (+ 1 for the differential equations) for the series suites.
+# The Hurwitz suite runs each family from genus 0 up to --gmax and stops it
+# at the first genus the enumeration bound refuses: the raw tuple count
+# grows with the genus, so every later genus would be refused too.
+
+TableGetter = Callable[[int, int], hodge.HodgeTable]
 
 
-def _suite_rel2(gmax: int, order: int) -> bool:
-    table = hodge.l2_table(gmax)
+def _table_getter() -> TableGetter:
+    """The table source of one ``verify`` invocation.
+
+    A degree's table is solved again only when a suite asks for a genus
+    beyond it; rows are prefix-stable, so a larger table serves a smaller
+    request unchanged.
+    """
+    solved: dict[int, hodge.HodgeTable] = {}
+
+    def tables(degree: int, gmax: int) -> hodge.HodgeTable:
+        table = solved.get(degree)
+        if table is None or table.gmax < gmax:
+            table = hodge.l2_table(gmax) if degree == 2 else hodge.l3_table(gmax)
+            solved[degree] = table
+        return table
+
+    return tables
+
+
+def _suite_rel2(gmax: int, order: int, tables: TableGetter) -> bool:
+    table = tables(2, gmax)
     closed = hodge.closed_form_L2(2 * gmax + 1)
     return all(
         table.L[g] == egf_value(closed, 2 * g + 1) for g in range(gmax + 1)
     )
 
 
-def _suite_lab(gmax: int, order: int) -> bool:
-    t2 = hodge.l2_table(gmax)
-    t3 = hodge.l3_table(gmax)
+def _suite_lab(gmax: int, order: int, tables: TableGetter) -> bool:
+    t2 = tables(2, gmax)
+    t3 = tables(3, gmax)
     closed = hodge.closed_form_L3(2 * gmax + 2)
     recursion_ok = all(
         t3.L[g] == egf_value(closed, 2 * g + 2) for g in range(gmax + 1)
@@ -151,25 +175,29 @@ def _suite_lab(gmax: int, order: int) -> bool:
     return recursion_ok and vanishing_ok
 
 
-def _suite_ode2(gmax: int, order: int) -> bool:
-    return hodge.ode_residual_deg2(order).is_zero()
+def _suite_ode2(gmax: int, order: int, tables: TableGetter) -> bool:
+    l2 = tables(2, hodge._genus_for_order(2, order + 1))
+    return hodge.ode_residual_deg2(l2, order).is_zero()
 
 
-def _suite_ode3(gmax: int, order: int) -> bool:
-    return hodge.ode_residual_deg3(order).is_zero()
+def _suite_ode3(gmax: int, order: int, tables: TableGetter) -> bool:
+    l2 = tables(2, hodge._genus_for_order(2, order + 1))
+    l3 = tables(3, hodge._genus_for_order(3, order + 1))
+    return hodge.ode_residual_deg3(l2, l3, order).is_zero()
 
 
-def _suite_conjecture(gmax: int, order: int) -> bool:
+def _suite_conjecture(gmax: int, order: int, tables: TableGetter) -> bool:
     one = TruncatedSeries.one(order)
     if hodge.conjecture_series(1, order) != one:
         return False
     return all(
-        hodge.conjecture_series(d, order) == hodge.i_series(d, order)
+        hodge.conjecture_series(d, order)
+        == hodge.i_series(tables(d, hodge._genus_for_order(d, order)), order)
         for d in (2, 3)
     )
 
 
-def _suite_hurwitz(gmax: int, order: int) -> bool:
+def _suite_hurwitz(gmax: int, order: int, tables: TableGetter) -> bool:
     families = (
         (p3_full, hodge.p3_full_closed),
         (p3_trans, hodge.p3_trans_closed),
@@ -186,31 +214,32 @@ def _suite_hurwitz(gmax: int, order: int) -> bool:
     return True
 
 
-def _suite_linearizations(gmax: int, order: int) -> bool:
-    t2 = hodge.l2_table(gmax)
+def _suite_linearizations(gmax: int, order: int, tables: TableGetter) -> bool:
+    t2 = tables(2, gmax)
     return all(
         localization.deg2_linA(g, l2=t2) == localization.deg2_linB(g, l2=t2)
         for g in range(gmax + 1)
     )
 
 
-def _suite_aspinwall(gmax: int, order: int) -> bool:
-    if hodge.j_series(2, 2).coeff(2) != Fraction(1, 8):
+def _suite_aspinwall(gmax: int, order: int, tables: TableGetter) -> bool:
+    n = max(order, 4)
+    t2 = tables(2, gmax)
+    t3 = tables(3, hodge._genus_for_order(3, n))
+    if hodge.j_series(t2, 2).coeff(2) != Fraction(1, 8):
         return False
-    if hodge.j_series(3, 4).coeff(4) != Fraction(1, 27):
+    if hodge.j_series(t3, 4).coeff(4) != Fraction(1, 27):
         return False
     # Locus route against the tangent-squared closed form.
-    t2 = hodge.l2_table(gmax)
     tan_sq = hodge.closed_form_L2(2 * gmax + 2) ** 2
     for g in range(gmax + 1):
         expected = egf_value(tan_sq, 2 * g + 2) / 2
         if localization.j2_from_loci(g, l2=t2) != expected:
             return False
     # Degree-3 square identity against its trigonometric closed form.
-    n = max(order, 4)
     numerator = Fraction(16, 3) * sin_scaled(Fraction(1, 2), n + 2) ** 6
     denominator = sin_scaled(Fraction(3, 2), n + 2) ** 2
-    return hodge.j_series(3, n) == div(numerator, denominator)
+    return hodge.j_series(t3, n) == div(numerator, denominator)
 
 
 _SUITES = {
@@ -259,12 +288,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
     else:
         if d not in (2, 3):
             return _usage_error(f"--what {args.what} needs degree 2 or 3")
-        if args.what == "I":
-            s = hodge.i_series(d, n)
-        elif args.what == "J":
-            s = hodge.j_series(d, n)
-        else:  # L
-            s = hodge.l_series(hodge._table_for_order(d, n), n)
+        rows = {"I": hodge.i_series, "J": hodge.j_series, "L": hodge.l_series}
+        s = rows[args.what](hodge._table_for_order(d, n), n)
         records.append(
             OutputRecord("series", args.what, degree=d, order=n,
                          payload=_series_payload(s))
@@ -304,9 +329,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.order < 2:
         return _usage_error("order must be >= 2")
     names = list(_SUITES) if args.suite is None else [args.suite]
+    tables = _table_getter()
     failed = False
     for name in names:
-        ok = _SUITES[name](args.gmax, args.order)
+        ok = _SUITES[name](args.gmax, args.order, tables)
         print(f"{name}: {'pass' if ok else 'fail'}")
         failed = failed or not ok
     return 1 if failed else 0
@@ -323,20 +349,13 @@ def _parse_profile(text: str) -> list[int]:
 
 
 def _cmd_hurwitz(args: argparse.Namespace) -> int:
-    bound = args.max_tuples
-    if bound is None:
-        env = os.environ.get("ADMCALC_MAX_TUPLES")
-        try:
-            bound = DEFAULT_MAX_TUPLES if env is None else int(env)
-        except ValueError:
-            return _usage_error(f"ADMCALC_MAX_TUPLES={env!r} is not an integer")
     try:
         profiles = tuple(CycleType(tuple(_parse_profile(p))) for p in args.profile)
         profile = BranchProfile(args.degree, profiles)
     except ValueError as exc:
         return _usage_error(str(exc))
     count = hurwitz_count(
-        profile, connected=not args.disconnected, max_tuples=bound
+        profile, connected=not args.disconnected, max_tuples=args.max_tuples
     )
     print(count)
     return 0
@@ -385,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated cycle lengths; repeat once per branch point",
     )
     hurwitz.add_argument("--disconnected", action="store_true")
-    hurwitz.add_argument("--max-tuples", type=int, default=None)
+    hurwitz.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES)
     hurwitz.set_defaults(func=_cmd_hurwitz)
 
     return parser

@@ -169,8 +169,21 @@ def l3_table(gmax: int) -> HodgeTable:
     return HodgeTable(degree=3, L=L3, P_full=P_full, P_trans=P_trans)
 
 
+def _genus_for_order(degree: int, order: int) -> int:
+    """The genus a table must reach to fill a row series truncated at ``order``.
+
+    Both L-families, and so the I-families, sit at exponent 2g + d - 1.
+    """
+    return max(0, (order - degree + 1) // 2)
+
+
 def _row_series(degree: int, row: list[Fraction], order: int) -> TruncatedSeries:
-    # Both L-families, and so the I-families, sit at exponent 2g + d - 1.
+    needed = _genus_for_order(degree, order)
+    if len(row) <= needed:
+        raise ValueError(
+            f"order {order} needs the degree-{degree} table to reach genus "
+            f"{needed}; it reaches genus {len(row) - 1}"
+        )
     return TruncatedSeries.from_egf(
         (
             (2 * g + degree - 1, value)
@@ -188,7 +201,7 @@ def l_series(table: HodgeTable, order: int) -> TruncatedSeries:
 
 def _table_for_order(degree: int, order: int) -> HodgeTable:
     """The table whose rows fill a row series truncated at ``order``."""
-    gmax = max(0, (order - degree + 1) // 2)
+    gmax = _genus_for_order(degree, order)
     return l2_table(gmax) if degree == 2 else l3_table(gmax)
 
 
@@ -230,19 +243,15 @@ def conjecture_series(d: int, N: int) -> TruncatedSeries:
     return div(numerator, denominator) * Fraction(sign, d)
 
 
-def i_series(d: int, N: int) -> TruncatedSeries:
-    """EGF of the one-point invariants I_d(g), from the tables."""
-    if d not in (2, 3):
-        raise ValueError("one-point tables exist only for degrees 2 and 3")
-    return _row_series(d, _table_for_order(d, N).I, N)
+def i_series(table: HodgeTable, order: int) -> TruncatedSeries:
+    """EGF of the one-point invariants I_d(g) of the table's degree."""
+    return _row_series(table.degree, table.I, order)
 
 
-def j_series(d: int, N: int) -> TruncatedSeries:
+def j_series(table: HodgeTable, order: int) -> TruncatedSeries:
     """d times the square of i_series; the identity proven for d in {2, 3}."""
-    if d not in (2, 3):
-        raise ValueError("the square identity is only available for degrees 2 and 3")
-    base = i_series(d, N)
-    return d * base * base
+    base = i_series(table, order)
+    return table.degree * base * base
 
 
 def p3_full_series(N: int) -> TruncatedSeries:
@@ -264,37 +273,30 @@ def j_relation_check(g: int) -> bool:
     """
     if g < 0:
         raise ValueError("genus must be >= 0")
-    binomial_sum = sum(_j_terms(2, g, l2_table(g).I))
-    return binomial_sum == egf_value(j_series(2, 2 * g + 2), 2 * g + 2)
+    table = l2_table(g)
+    binomial_sum = sum(_j_terms(2, g, table.I))
+    return binomial_sum == egf_value(j_series(table, 2 * g + 2), 2 * g + 2)
 
 
-def ode_residual_deg2(
-    N: int, l2_series: TruncatedSeries | None = None
-) -> TruncatedSeries:
+def ode_residual_deg2(l2: HodgeTable, N: int) -> TruncatedSeries:
     """L2'(x) sin(x) - L2(x) to order N; zero for the true table.
 
-    Passing an explicit ``l2_series`` (order N+1) substitutes a candidate
-    generating function, e.g. to confirm the residual detects perturbations.
+    The table must reach order N + 1; a perturbed one (made with
+    ``dataclasses.replace``) shows up as a nonzero residual.
     """
     if N < 2:
         raise ValueError("order must be >= 2")
-    if l2_series is None:
-        l2_series = l_series(_table_for_order(2, N + 1), N + 1)
+    l2_series = l_series(l2, N + 1)
     return l2_series.derivative() * sin_scaled(1, N) - l2_series.truncate(N)
 
 
-def ode_residual_deg3(
-    N: int,
-    l3_series: TruncatedSeries | None = None,
-    l2_series: TruncatedSeries | None = None,
-) -> TruncatedSeries:
-    """(2/3) P3_full-series * L3' - P3_trans-series * L2' to order N."""
+def ode_residual_deg3(l2: HodgeTable, l3: HodgeTable, N: int) -> TruncatedSeries:
+    """(2/3) P3_full-series * L3' - P3_trans-series * L2' to order N.
+
+    Both tables must reach order N + 1.
+    """
     if N < 2:
         raise ValueError("order must be >= 2")
-    if l3_series is None:
-        l3_series = l_series(_table_for_order(3, N + 1), N + 1)
-    if l2_series is None:
-        l2_series = l_series(_table_for_order(2, N + 1), N + 1)
-    full_part = Fraction(2, 3) * p3_full_series(N) * l3_series.derivative()
-    trans_part = p3_trans_series(N) * l2_series.derivative()
+    full_part = Fraction(2, 3) * p3_full_series(N) * l_series(l3, N + 1).derivative()
+    trans_part = p3_trans_series(N) * l_series(l2, N + 1).derivative()
     return full_part - trans_part

@@ -29,16 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator
 
 __all__ = [
     "DEFAULT_MAX_TUPLES",
     "EnumerationBoundError",
-    "Permutation",
     "CycleType",
     "BranchProfile",
     "permutations_with_type",
-    "is_transitive",
     "hurwitz_count",
     "p2",
     "p3_full",
@@ -69,38 +67,6 @@ def _type_of_images(images: tuple[int, ...]) -> tuple[int, ...]:
         parts.append(length)
     parts.sort(reverse=True)
     return tuple(parts)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection of {1, ..., d}; images[i-1] is the image of i."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
-
-    @classmethod
-    def identity(cls, d: int) -> "Permutation":
-        return cls(tuple(range(1, d + 1)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition (self * other)(i) = self(other(i))."""
-        if self.degree != other.degree:
-            raise ValueError("degrees differ")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
-
-    def cycle_type(self) -> "CycleType":
-        zero_based = tuple(j - 1 for j in self.images)
-        return CycleType(_type_of_images(zero_based))
 
 
 @dataclass(frozen=True)
@@ -190,30 +156,12 @@ def _class_images(d: int, parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             stack.append(cycles_from(free.index(True)))
 
 
-def permutations_with_type(d: int, t: CycleType) -> list[Permutation]:
-    """All elements of S_d with the given cycle type (the conjugacy class)."""
+def permutations_with_type(d: int, t: CycleType) -> list[tuple[int, ...]]:
+    """All elements of S_d with the given cycle type (the conjugacy class),
+    as 0-based image tuples: entry i is the image of sheet i."""
     if t.degree != d:
         raise ValueError(f"cycle type {t.parts} does not partition {d}")
-    return [
-        Permutation(tuple(j + 1 for j in images))
-        for images in _class_images(d, t.parts)
-    ]
-
-
-def is_transitive(perms: Sequence[Permutation], d: int) -> bool:
-    """Whether the group generated by perms acts transitively on {1..d}."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    reached = {1}
-    frontier = [1]
-    while frontier:
-        i = frontier.pop()
-        for p in perms:
-            j = p(i)
-            if j not in reached:
-                reached.add(j)
-                frontier.append(j)
-    return len(reached) == d
+    return list(_class_images(d, t.parts))
 
 
 def _class_size(d: int, parts: tuple[int, ...]) -> int:

@@ -30,15 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .hodge import (
-    HodgeTable,
-    _j_terms,
-    _l2_terms,
-    _l3_weights,
-    l2_table,
-    l3_table,
-    p2_closed,
-)
+from .hodge import HodgeTable, _j_terms, _l2_terms, _l3_weights, p2_closed
 
 __all__ = [
     "LocusKind",
@@ -175,15 +167,17 @@ def enumerate_loci(
     degree: int,
     g: int,
     family: str,
-    l2: HodgeTable | None = None,
+    l2: HodgeTable,
     l3: HodgeTable | None = None,
 ) -> list[FixedLocusTerm]:
     """Complete reduced-term catalog for one identity at one genus.
 
     Families: ``linA`` and ``linB`` (degree 2, both linearizations of the
     one-point integral), ``J`` (degree 2, two-point integral), ``aux``
-    (degree 3, vanishing auxiliary integral).  Tables may be passed in to
-    reuse work or to probe perturbed inputs; they must cover genus g.
+    (degree 3, vanishing auxiliary integral).  Every family reads the L2
+    table ``l2``; ``aux`` also reads the L3 table ``l3`` and the P rows it
+    was solved with.  The tables must reach genus g; a perturbed table
+    (made with ``dataclasses.replace``) probes what the identity detects.
     """
     if g < 0:
         raise ValueError("genus must be >= 0")
@@ -191,40 +185,38 @@ def enumerate_loci(
         raise ValueError(f"no locus catalog for degree {degree}")
     if family not in _FAMILIES[degree]:
         raise ValueError(f"unknown family {family!r} for degree {degree}")
-    if l2 is None:
-        l2 = l2_table(g)
+    if family == "aux" and l3 is None:
+        raise ValueError("the aux family needs the L3 table")
+    if l2.gmax < g or (family == "aux" and l3.gmax < g):
+        raise ValueError(f"the tables must reach genus {g}")
     if family == "linA":
         return _deg2_linA_terms(g, l2)
     if family == "linB":
         return _deg2_linB_terms(g, l2)
     if family == "J":
         return _j_loci(g, l2)
-    if l3 is None:
-        l3 = l3_table(g)
     return _deg3_aux_terms(g, l2, l3)
 
 
-def deg2_linA(g: int, l2: HodgeTable | None = None) -> Fraction:
+def deg2_linA(g: int, l2: HodgeTable) -> Fraction:
     """One-point degree-2 integral under linearization A: -L2(g)/2."""
     terms = enumerate_loci(2, g, "linA", l2=l2)
     return sum((t.coefficient for t in terms), Fraction(0))
 
 
-def deg2_linB(g: int, l2: HodgeTable | None = None) -> Fraction:
+def deg2_linB(g: int, l2: HodgeTable) -> Fraction:
     """Same integral under linearization B: the g+1 locus contributions."""
     terms = enumerate_loci(2, g, "linB", l2=l2)
     return sum((t.coefficient for t in terms), Fraction(0))
 
 
-def deg3_aux_residual(
-    g: int, l2: HodgeTable | None = None, l3: HodgeTable | None = None
-) -> Fraction:
+def deg3_aux_residual(g: int, l2: HodgeTable, l3: HodgeTable) -> Fraction:
     """Total 1/hbar coefficient of the auxiliary integral; must be zero."""
     terms = enumerate_loci(3, g, "aux", l2=l2, l3=l3)
     return sum((t.coefficient for t in terms), Fraction(0))
 
 
-def j2_from_loci(g: int, l2: HodgeTable | None = None) -> Fraction:
+def j2_from_loci(g: int, l2: HodgeTable) -> Fraction:
     """J2(g) as the sum over the two-point fixed-locus catalog."""
     terms = enumerate_loci(2, g, "J", l2=l2)
     return sum((t.coefficient for t in terms), Fraction(0))

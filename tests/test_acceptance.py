@@ -73,8 +73,9 @@ def test_criterion_02_deg3_recursion_vs_closed_form():
 
 def test_criterion_03_conjecture_to_order_51():
     assert conjecture_series(1, 51) == TruncatedSeries.one(51)
-    for d in (2, 3):
-        assert conjecture_series(d, 51) == i_series(d, 51), f"degree {d}"
+    for table in (l2_table(25), l3_table(24)):
+        d = table.degree
+        assert conjecture_series(d, 51) == i_series(table, 51), f"degree {d}"
     report(3, "conjecture series = table series to order 51 for d in {1,2,3}")
 
 
@@ -106,14 +107,15 @@ def test_criterion_06_auxiliary_integral_vanishes():
 
 
 def test_criterion_07_ode_residuals_vanish_to_order_41():
-    assert ode_residual_deg2(41).is_zero()
-    assert ode_residual_deg3(41).is_zero()
+    t2, t3 = l2_table(20), l3_table(20)
+    assert ode_residual_deg2(t2, 41).is_zero()
+    assert ode_residual_deg3(t2, t3, 41).is_zero()
     report(7, "both ODE residual series vanish identically to order 41")
 
 
 def test_criterion_08_multiple_cover_coefficients():
-    assert j_series(2, 2).coeff(2) == F(1, 8)
-    assert j_series(3, 4).coeff(4) == F(1, 27)
+    assert j_series(l2_table(0), 2).coeff(2) == F(1, 8)
+    assert j_series(l3_table(1), 4).coeff(4) == F(1, 27)
     report(8, "lowest J coefficients are 1/8 and 1/27 (the 1/d^3 law)")
 
 
@@ -127,7 +129,7 @@ def test_criterion_09_j_route_equivalence():
         F(16, 3) * sin_scaled(F(1, 2), 32) ** 6,
         sin_scaled(F(3, 2), 32) ** 2,
     )
-    assert j_series(3, 30) == trig
+    assert j_series(l3_table(14), 30) == trig
     report(9, "locus J2 = tan^2 route for g<=15; J3 series = trig closed form to order 30")
 
 
@@ -169,8 +171,9 @@ def test_criterion_10_property_suites():
                 assert len(counts) == 1
 
     # Parity of every generating function in the catalog.
-    i2, i3 = i_series(2, 21), i_series(3, 21)
-    j2, j3 = j_series(2, 21), j_series(3, 21)
+    t2, t3 = l2_table(10), l3_table(9)
+    i2, i3 = i_series(t2, 21), i_series(t3, 21)
+    j2, j3 = j_series(t2, 21), j_series(t3, 21)
     assert all(i2.coeff(k) == 0 for k in range(0, 22, 2))
     for s in (i3, j2, j3):
         assert all(s.coeff(k) == 0 for k in range(1, 22, 2))

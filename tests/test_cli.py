@@ -183,23 +183,29 @@ def test_l_and_i_requests_build_no_j_row(capsys, monkeypatch, argv):
     assert expected[0] == 0
 
 
-@pytest.mark.parametrize("degree, order", [(2, 8), (3, 9)])
-def test_series_L_table_sized_by_order(capsys, monkeypatch, degree, order):
-    # Row g sits at exponent 2g+d-1, so order 8 (d=2) and 9 (d=3) need g <= 3.
+def spy_on_tables(monkeypatch):
+    """Record (degree, gmax) of every table solved through hodge's builders."""
     built = []
-    for name in ("l2_table", "l3_table"):
+    for degree, name in ((2, "l2_table"), (3, "l3_table")):
         builder = getattr(hodge, name)
 
-        def spy(gmax, builder=builder):
-            built.append(gmax)
+        def spy(gmax, builder=builder, degree=degree):
+            built.append((degree, gmax))
             return builder(gmax)
 
         monkeypatch.setattr(hodge, name, spy)
+    return built
+
+
+@pytest.mark.parametrize("degree, order", [(2, 8), (3, 9)])
+def test_series_L_table_sized_by_order(capsys, monkeypatch, degree, order):
+    # Row g sits at exponent 2g+d-1, so order 8 (d=2) and 9 (d=3) need g <= 3.
+    built = spy_on_tables(monkeypatch)
     code, _, _ = run_cli(
         capsys, "series", "--degree", str(degree), "--what", "L", "--order", str(order)
     )
     assert code == 0
-    assert built and set(built) == {3}
+    assert built and {gmax for _, gmax in built} == {3}
 
 
 # -- verify ----------------------------------------------------------------
@@ -220,7 +226,7 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_reports_failure(capsys, monkeypatch):
-    monkeypatch.setitem(cli._SUITES, "rel2", lambda gmax, order: False)
+    monkeypatch.setitem(cli._SUITES, "rel2", lambda gmax, order, tables: False)
     code, out, _ = run_cli(capsys, "verify", "--all", "--gmax", "2", "--order", "6")
     assert code == 1
     assert "rel2: fail" in out
@@ -246,6 +252,33 @@ def test_verify_hurwitz_range_follows_the_bound(capsys, monkeypatch):
         "p3_trans": list(range(8)),
         "p2": list(range(13)),
     }
+
+
+def test_verify_all_solves_each_table_once(capsys, monkeypatch):
+    built = spy_on_tables(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--all")
+    assert code == 0 and out.count(": pass") == 8
+    # One of the L2 tables is the one l3_table solves inside.
+    assert [gmax for degree, gmax in built if degree == 3] == [10]
+    assert sum(degree == 2 for degree, _ in built) <= 2
+
+
+@pytest.mark.parametrize(
+    "argv, most",
+    [
+        (("--suite", "hurwitz", "--gmax", "40"), None),
+        (("--suite", "conjecture", "--gmax", "500"), 10),
+    ],
+    ids=["hurwitz", "conjecture"],
+)
+def test_verify_suite_solves_only_what_it_reads(capsys, monkeypatch, argv, most):
+    built = spy_on_tables(monkeypatch)
+    code, _, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    if most is None:
+        assert built == []
+    else:
+        assert built and max(gmax for _, gmax in built) <= most
 
 
 def test_verify_all_and_suite_conflict(capsys):
@@ -290,19 +323,12 @@ def test_hurwitz_bad_profile(capsys):
     assert code == 2
 
 
-def test_hurwitz_bound_flag_and_env(capsys, monkeypatch):
+def test_hurwitz_bound_flag_and_env(capsys):
     args = ["hurwitz", "--degree", "3"] + ["--profile", "2,1"] * 4
     code, _, err = run_cli(capsys, *args, "--max-tuples", "5")
     assert code == 2 and "exceeds" in err
-    monkeypatch.setenv("ADMCALC_MAX_TUPLES", "5")
-    code, _, err = run_cli(capsys, *args)
-    assert code == 2 and "exceeds" in err
-    # explicit flag wins over the environment
     code, out, _ = run_cli(capsys, *args, "--max-tuples", "27")
     assert code == 0 and out.strip() == "4"
-    monkeypatch.setenv("ADMCALC_MAX_TUPLES", "nope")
-    code, _, err = run_cli(capsys, *args)
-    assert code == 2 and "ADMCALC_MAX_TUPLES" in err
 
 
 def test_hurwitz_many_branch_points(capsys):

@@ -12,9 +12,7 @@ from admcalc.hurwitz import (
     BranchProfile,
     CycleType,
     EnumerationBoundError,
-    Permutation,
     hurwitz_count,
-    is_transitive,
     p2,
     p3_full,
     p3_trans,
@@ -34,30 +32,45 @@ def profile(d, *types):
     return BranchProfile(d, tuple(CycleType(t) for t in types))
 
 
-# -- basic group plumbing --------------------------------------------------
+# -- the oracle's permutations: 0-based image tuples ------------------------
 
 
-def test_permutation_validation():
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 2))
-    with pytest.raises(ValueError):
-        Permutation((0, 1))
+def compose(p, q):
+    """p after q."""
+    return tuple(p[j] for j in q)
 
 
-def test_compose_and_inverse():
-    p = Permutation((2, 3, 1))
-    q = Permutation((2, 1, 3))
-    p_inverse = Permutation((3, 1, 2))
-    assert (p * q).images == (3, 2, 1)  # p after q
-    assert p * p_inverse == Permutation.identity(3)
-    assert p_inverse * p == Permutation.identity(3)
-    assert p(1) == 2
+def cycle_type(images):
+    seen, parts = set(), []
+    for start in range(len(images)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = images[i]
+            length += 1
+        if length:
+            parts.append(length)
+    return tuple(sorted(parts, reverse=True))
 
 
-def test_cycle_type_values():
-    assert Permutation((2, 1, 3)).cycle_type().parts == (2, 1)
-    assert Permutation((2, 3, 1)).cycle_type().parts == (3,)
-    assert Permutation.identity(4).cycle_type().parts == (1, 1, 1, 1)
+def transitive(perms, d):
+    reached, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for p in perms:
+            if p[i] not in reached:
+                reached.add(p[i])
+                frontier.append(p[i])
+    return len(reached) == d
+
+
+def test_oracle_helpers():
+    assert compose((1, 2, 0), (1, 0, 2)) == (2, 1, 0)
+    assert cycle_type((1, 0, 2)) == (2, 1)
+    assert cycle_type((1, 2, 0)) == (3,)
+    assert not transitive([(1, 0, 2)], 3)
+    assert transitive([(1, 0, 2), (0, 2, 1)], 3)
+    assert transitive([], 1) and not transitive([], 2)
 
 
 def test_cycle_type_normalises_and_validates():
@@ -81,22 +94,20 @@ def class_size(d, parts):
     return math.factorial(d) // centraliser
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-def test_permutations_with_type_is_the_conjugacy_class(d):
-    for parts in {tuple(sorted(t.cycle_type().parts, reverse=True))
-                  for t in map(Permutation, orderings(range(1, d + 1)))}:
-        members = permutations_with_type(d, CycleType(parts))
-        assert len(members) == class_size(d, parts)
-        assert all(m.cycle_type().parts == parts for m in members)
-
-
 def scanned_classes(d):
     """Every conjugacy class of S_d, found by filtering all d! permutations."""
     classes = {}
     for images in orderings(range(d)):
-        p = Permutation(tuple(j + 1 for j in images))
-        classes.setdefault(p.cycle_type().parts, set()).add(images)
+        classes.setdefault(cycle_type(images), set()).add(images)
     return classes
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_permutations_with_type_is_the_conjugacy_class(d):
+    for parts in scanned_classes(d):
+        members = permutations_with_type(d, CycleType(parts))
+        assert len(members) == class_size(d, parts)
+        assert all(cycle_type(m) == parts for m in members)
 
 
 @pytest.mark.parametrize("d", range(1, 8))
@@ -113,16 +124,6 @@ def test_class_images_keep_their_own_stack():
     parts = (1,) * 1198 + (2,)
     (first,) = islice(_class_images(1200, parts), 1)
     assert first == tuple(range(1198)) + (1199, 1198)
-
-
-def test_is_transitive():
-    tau = Permutation((2, 1, 3))
-    rho = Permutation((1, 3, 2))
-    assert not is_transitive([tau], 3)
-    assert is_transitive([tau, rho], 3)
-    assert is_transitive([Permutation((2, 3, 1))], 3)
-    assert is_transitive([], 1)
-    assert not is_transitive([], 2)
 
 
 # -- counting: frozen examples ---------------------------------------------
@@ -193,17 +194,13 @@ def test_disconnected_dominates_connected_and_integrality():
 def oracle_count(d, types, connected):
     """Weighted tuple count from all n slots, independent of the fold."""
     classes = scanned_classes(d)
-    members = [
-        [Permutation(tuple(j + 1 for j in images)) for images in classes[parts]]
-        for parts in types
-    ]
-    identity = Permutation.identity(d)
+    identity = tuple(range(d))
     hits = 0
-    for perms in product(*members):
+    for perms in product(*(classes[parts] for parts in types)):
         total = identity
         for p in perms:
-            total = p * total
-        if total == identity and (not connected or is_transitive(perms, d)):
+            total = compose(p, total)
+        if total == identity and (not connected or transitive(perms, d)):
             hits += 1
     return Fraction(hits, math.factorial(d))
 

@@ -17,12 +17,15 @@ from admcalc.series import egf_value
 F = Fraction
 
 
+T2, T3 = l2_table(12), l3_table(12)
+
+
 def test_linA_values():
-    assert [deg2_linA(g) for g in range(3)] == [F(-1, 4), F(-1, 8), F(-1, 4)]
+    assert [deg2_linA(g, T2) for g in range(3)] == [F(-1, 4), F(-1, 8), F(-1, 4)]
 
 
 def test_linB_values():
-    assert [deg2_linB(g) for g in range(3)] == [F(-1, 4), F(-1, 8), F(-1, 4)]
+    assert [deg2_linB(g, T2) for g in range(3)] == [F(-1, 4), F(-1, 8), F(-1, 4)]
 
 
 def test_linearizations_agree():
@@ -33,10 +36,10 @@ def test_linearizations_agree():
 
 def test_term_counts():
     for g in (0, 1, 2, 4, 7):
-        assert len(enumerate_loci(2, g, "linA")) == 1
-        assert len(enumerate_loci(2, g, "linB")) == g + 1
-        assert len(enumerate_loci(3, g, "aux")) == 2 * g + 2
-        assert len(enumerate_loci(2, g, "J")) == max(g + 1, 1)
+        assert len(enumerate_loci(2, g, "linA", T2)) == 1
+        assert len(enumerate_loci(2, g, "linB", T2)) == g + 1
+        assert len(enumerate_loci(3, g, "aux", T2, T3)) == 2 * g + 2
+        assert len(enumerate_loci(2, g, "J", T2)) == max(g + 1, 1)
 
 
 def test_genera_sum_to_ambient_genus():
@@ -51,10 +54,14 @@ def test_genera_sum_to_ambient_genus():
 
 def test_aux_terms_carry_inverse_hbar():
     for g in (0, 1, 3, 6):
-        assert all(t.hbar_exponent == -1 for t in enumerate_loci(3, g, "aux"))
+        assert all(
+            t.hbar_exponent == -1 for t in enumerate_loci(3, g, "aux", T2, T3)
+        )
     for g in (0, 2):
         for family in ("linA", "linB", "J"):
-            assert all(t.hbar_exponent == 0 for t in enumerate_loci(2, g, family))
+            assert all(
+                t.hbar_exponent == 0 for t in enumerate_loci(2, g, family, T2)
+            )
 
 
 def test_aux_residual_vanishes():
@@ -65,7 +72,7 @@ def test_aux_residual_vanishes():
 
 def test_aux_residual_spot_structure():
     # g = 0: the relation collapses to -2 L3(0) + 2 = 0.
-    terms = enumerate_loci(3, 0, "aux")
+    terms = enumerate_loci(3, 0, "aux", T2, T3)
     assert sorted(t.coefficient for t in terms) == [-2, 2]
 
 
@@ -73,13 +80,13 @@ def test_perturbed_p3_trans_breaks_vanishing():
     t3 = l3_table(4)
     bumped = dataclasses.replace(t3, P_trans=[F(5), *t3.P_trans[1:]])
     for g in range(5):
-        assert deg3_aux_residual(g, l3=bumped) != 0
+        assert deg3_aux_residual(g, l2=l2_table(4), l3=bumped) != 0
 
 
 def test_perturbed_l3_breaks_vanishing():
     t3 = l3_table(4)
     bumped = dataclasses.replace(t3, L=[t3.L[0], t3.L[1] + 1, *t3.L[2:]])
-    assert deg3_aux_residual(1, l3=bumped) != 0
+    assert deg3_aux_residual(1, l2=l2_table(4), l3=bumped) != 0
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
@@ -99,10 +106,10 @@ def test_perturbed_l2_breaks_linearizations_and_j(k):
 
 
 def test_locus_kind_coverage():
-    kinds = {t.kind for t in enumerate_loci(2, 3, "linA")}
-    kinds |= {t.kind for t in enumerate_loci(2, 3, "linB")}
-    kinds |= {t.kind for t in enumerate_loci(3, 3, "aux")}
-    kinds |= {t.kind for t in enumerate_loci(2, 3, "J")}
+    kinds = {t.kind for t in enumerate_loci(2, 3, "linA", T2)}
+    kinds |= {t.kind for t in enumerate_loci(2, 3, "linB", T2)}
+    kinds |= {t.kind for t in enumerate_loci(3, 3, "aux", T2, T3)}
+    kinds |= {t.kind for t in enumerate_loci(2, 3, "J", T2)}
     assert kinds == set(LocusKind)
 
 
@@ -111,7 +118,7 @@ def test_signs_at_unit_split():
     def split_coeff(degree, family, kind):
         matches = [
             t
-            for t in enumerate_loci(degree, 2, family)
+            for t in enumerate_loci(degree, 2, family, T2, T3)
             if t.kind is kind and t.genera == (1, 1)
         ]
         assert len(matches) == 1
@@ -137,13 +144,13 @@ def test_j_end_terms_fold_the_seed():
 
 
 def test_j_at_genus_zero_single_locus():
-    terms = enumerate_loci(2, 0, "J")
+    terms = enumerate_loci(2, 0, "J", T2)
     assert len(terms) == 1
     assert terms[0].coefficient == F(1, 4)
 
 
 def test_j2_values():
-    assert [j2_from_loci(g) for g in range(3)] == [F(1, 4), F(1, 2), F(17, 8)]
+    assert [j2_from_loci(g, T2) for g in range(3)] == [F(1, 4), F(1, 2), F(17, 8)]
 
 
 def test_j2_matches_tangent_square():
@@ -155,10 +162,24 @@ def test_j2_matches_tangent_square():
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        enumerate_loci(2, 1, "aux")
+        enumerate_loci(2, 1, "aux", T2, T3)
     with pytest.raises(ValueError):
-        enumerate_loci(3, 1, "linA")
+        enumerate_loci(3, 1, "linA", T2, T3)
     with pytest.raises(ValueError):
-        enumerate_loci(4, 1, "aux")
+        enumerate_loci(4, 1, "aux", T2, T3)
     with pytest.raises(ValueError):
-        enumerate_loci(2, -1, "J")
+        enumerate_loci(2, -1, "J", T2)
+
+
+def test_aux_needs_the_l3_table():
+    with pytest.raises(ValueError, match="L3"):
+        enumerate_loci(3, 1, "aux", T2)
+
+
+@pytest.mark.parametrize("family, degree", [("linA", 2), ("linB", 2), ("J", 2), ("aux", 3)])
+def test_tables_must_reach_the_genus(family, degree):
+    with pytest.raises(ValueError, match="reach genus 4"):
+        enumerate_loci(degree, 4, family, l2_table(3), l3_table(4))
+    if family == "aux":
+        with pytest.raises(ValueError, match="reach genus 4"):
+            enumerate_loci(degree, 4, family, l2_table(4), l3_table(3))

@@ -29,6 +29,9 @@ def test_traced_benchmark_installs():
         "tracer.install()\n"
         "assert cli.run(['table', '--what', 'J3', '--gmax', '2']) == 0\n"
         "assert tracer.n['hodge.table_calls'] == 2\n"
+        "assert cli.run(['verify', '--all', '--gmax', '2', '--order', '6']) == 0\n"
+        "assert cli.run(['series', '--what', 'J', '--degree', '3']) == 0\n"
+        "assert tracer.n['localization.terms'] > 0\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
