@@ -123,30 +123,35 @@ def _usage_error(message: str) -> int:
 
 # -- verification suites ---------------------------------------------------
 #
-# Each suite returns True on success.  It reads its tables from
-# ``tables(degree, gmax)``, the getter of one ``verify`` invocation, asking
-# for the genus it needs: --gmax for the genus-range suites, and the reach
-# of --order (+ 1 for the differential equations) for the series suites.
+# Each suite returns True on success.  It reads its tables from the getter
+# of one ``verify`` invocation: ``tables(degree, gmax)`` in the genus-range
+# suites, ``tables(degree)``, which reaches --order + 1, in the series suites.
 # The Hurwitz suite runs each family from genus 0 up to --gmax and stops it
 # at the first genus the enumeration bound refuses: the raw tuple count
 # grows with the genus, so every later genus would be refused too.
 
-TableGetter = Callable[[int, int], hodge.HodgeTable]
+TableGetter = Callable[..., hodge.HodgeTable]
 
 
-def _table_getter() -> TableGetter:
-    """The table source of one ``verify`` invocation.
+def _table_getter(order: int) -> TableGetter:
+    """The table source of one ``verify`` invocation at the given --order.
 
-    A degree's table is solved again only when a suite asks for a genus
-    beyond it; rows are prefix-stable, so a larger table serves a smaller
-    request unchanged.
+    A degree's table is solved when a suite first asks for it, at the asked
+    genus or the reach of order + 1 if larger; the degree-3 table is solved
+    from this getter's degree-2 table and takes its genus.  It is solved
+    again only for a genus beyond it; rows are prefix-stable, so a larger
+    table serves a smaller request unchanged.
     """
     solved: dict[int, hodge.HodgeTable] = {}
 
-    def tables(degree: int, gmax: int) -> hodge.HodgeTable:
+    def tables(degree: int, gmax: int = 0) -> hodge.HodgeTable:
         table = solved.get(degree)
         if table is None or table.gmax < gmax:
-            table = hodge.l2_table(gmax) if degree == 2 else hodge.l3_table(gmax)
+            gmax = max(gmax, hodge._genus_for_order(degree, order + 1))
+            table = (
+                hodge.l2_table(gmax) if degree == 2
+                else hodge.l3_table(tables(2, gmax))
+            )
             solved[degree] = table
         return table
 
@@ -176,14 +181,11 @@ def _suite_lab(gmax: int, order: int, tables: TableGetter) -> bool:
 
 
 def _suite_ode2(gmax: int, order: int, tables: TableGetter) -> bool:
-    l2 = tables(2, hodge._genus_for_order(2, order + 1))
-    return hodge.ode_residual_deg2(l2, order).is_zero()
+    return hodge.ode_residual_deg2(tables(2), order).is_zero()
 
 
 def _suite_ode3(gmax: int, order: int, tables: TableGetter) -> bool:
-    l2 = tables(2, hodge._genus_for_order(2, order + 1))
-    l3 = tables(3, hodge._genus_for_order(3, order + 1))
-    return hodge.ode_residual_deg3(l2, l3, order).is_zero()
+    return hodge.ode_residual_deg3(tables(2), tables(3), order).is_zero()
 
 
 def _suite_conjecture(gmax: int, order: int, tables: TableGetter) -> bool:
@@ -192,7 +194,7 @@ def _suite_conjecture(gmax: int, order: int, tables: TableGetter) -> bool:
         return False
     return all(
         hodge.conjecture_series(d, order)
-        == hodge.i_series(tables(d, hodge._genus_for_order(d, order)), order)
+        == hodge.i_series(tables(d), order)
         for d in (2, 3)
     )
 
@@ -225,7 +227,7 @@ def _suite_linearizations(gmax: int, order: int, tables: TableGetter) -> bool:
 def _suite_aspinwall(gmax: int, order: int, tables: TableGetter) -> bool:
     n = max(order, 4)
     t2 = tables(2, gmax)
-    t3 = tables(3, hodge._genus_for_order(3, n))
+    t3 = tables(3)  # it has the L2 table's genus, >= 1, so it reaches x^4
     if hodge.j_series(t2, 2).coeff(2) != Fraction(1, 8):
         return False
     if hodge.j_series(t3, 4).coeff(4) != Fraction(1, 27):
@@ -315,7 +317,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     elif what == "P3trans":
         row = [hodge.p3_trans_closed(g) for g in range(gmax + 1)]
     else:
-        table = hodge.l2_table(gmax) if degree == 2 else hodge.l3_table(gmax)
+        l2 = hodge.l2_table(gmax)
+        table = l2 if degree == 2 else hodge.l3_table(l2)
         row = getattr(table, what[0])
     record = OutputRecord(
         "table", what, degree=degree, gmax=gmax, payload=_table_payload(row)
@@ -329,7 +332,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.order < 2:
         return _usage_error("order must be >= 2")
     names = list(_SUITES) if args.suite is None else [args.suite]
-    tables = _table_getter()
+    tables = _table_getter(args.order)
     failed = False
     for name in names:
         ok = _SUITES[name](args.gmax, args.order, tables)
@@ -418,12 +421,20 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    # Exact answers can pass CPython's digit limit on int/str conversion (none
+    # before 3.10.7): argv is parsed under it, the answer is made without it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except EnumerationBoundError as exc:
         return _usage_error(str(exc))
     except ValueError as exc:
         return _usage_error(str(exc))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

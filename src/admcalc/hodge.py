@@ -147,24 +147,23 @@ def l2_table(gmax: int) -> HodgeTable:
     return HodgeTable(degree=2, L=L)
 
 
-def l3_table(gmax: int) -> HodgeTable:
-    """L3 up to gmax, by solving the mixed-degree relation.
+def l3_table(l2: HodgeTable) -> HodgeTable:
+    """L3 up to ``l2.gmax``, by solving the mixed-degree relation on the rows
+    of the L2 table given.
 
-    The genus-g instance of the relation involves L3(i) for i <= g; the
-    i = g weight -(2/3) C(2g+3, 2) is nonzero, so it can be solved for L3(g)
-    once all lower entries are known.  No seed value is assumed: g = 0
-    already determines L3(0) = 1.
+    The genus-g instance of the relation involves L3(i) and L2(i) for
+    i <= g; the i = g weight -(2/3) C(2g+3, 2) is nonzero, so it can be
+    solved for L3(g) once all lower entries are known.  No seed value is
+    assumed: g = 0 already determines L3(0) = 1.
     """
-    if gmax < 0:
-        raise ValueError("gmax must be >= 0")
-    L2 = l2_table(gmax).L
+    gmax = l2.gmax
     P_full = [p3_full_closed(g) for g in range(gmax + 1)]
     P_trans = [p3_trans_closed(g) for g in range(gmax + 1)]
     L3: list[Fraction] = []
     for g in range(gmax + 1):
         weights = _l3_weights(g, P_full, P_trans)
         known = sum(a * l3 for (a, _), l3 in zip(weights, L3))
-        known += sum(b * l2 for (_, b), l2 in zip(weights, L2))
+        known += sum(b * value for (_, b), value in zip(weights, l2.L))
         L3.append(-known / weights[g][0])
     return HodgeTable(degree=3, L=L3, P_full=P_full, P_trans=P_trans)
 
@@ -201,8 +200,8 @@ def l_series(table: HodgeTable, order: int) -> TruncatedSeries:
 
 def _table_for_order(degree: int, order: int) -> HodgeTable:
     """The table whose rows fill a row series truncated at ``order``."""
-    gmax = _genus_for_order(degree, order)
-    return l2_table(gmax) if degree == 2 else l3_table(gmax)
+    l2 = l2_table(_genus_for_order(degree, order))
+    return l2 if degree == 2 else l3_table(l2)
 
 
 def closed_form_L2(N: int) -> TruncatedSeries:

@@ -277,27 +277,27 @@ def _uniform_profile(d: int, parts: tuple[int, ...], n: int) -> BranchProfile:
     return BranchProfile(d, tuple(CycleType(parts) for _ in range(n)))
 
 
-def p2(g: int, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fraction:
+def p2(g: int) -> Fraction:
     """Count of genus-g double covers of the line: 2g+2 simple branch points."""
     if g < 0:
         raise ValueError("genus must be >= 0")
     profile = _uniform_profile(2, (2,), 2 * g + 2)
-    return hurwitz_count(profile, connected=True, max_tuples=max_tuples)
+    return hurwitz_count(profile, connected=True)
 
 
-def p3_full(g: int, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fraction:
+def p3_full(g: int) -> Fraction:
     """Connected degree-3 covers of the line with one point of full
     ramification and 2g+2 simple branch points."""
     if g < 0:
         raise ValueError("genus must be >= 0")
     types = [CycleType((3,))] + [CycleType((2, 1))] * (2 * g + 2)
     profile = BranchProfile(3, tuple(types))
-    return hurwitz_count(profile, connected=True, max_tuples=max_tuples)
+    return hurwitz_count(profile, connected=True)
 
 
-def p3_trans(g: int, max_tuples: int = DEFAULT_MAX_TUPLES) -> Fraction:
+def p3_trans(g: int) -> Fraction:
     """Connected degree-3 covers of the line with 2g+4 simple branch points."""
     if g < 0:
         raise ValueError("genus must be >= 0")
     profile = _uniform_profile(3, (2, 1), 2 * g + 4)
-    return hurwitz_count(profile, connected=True, max_tuples=max_tuples)
+    return hurwitz_count(profile, connected=True)

@@ -82,12 +82,6 @@ class TruncatedSeries:
         return cls.constant(1, order)
 
     @classmethod
-    def x(cls, order: int) -> "TruncatedSeries":
-        if order < 1:
-            raise ValueError("order must be >= 1 to represent x")
-        return cls([0, 1], order=order)
-
-    @classmethod
     def from_egf(cls, terms: Iterable[tuple[int, Scalar]], order: int) -> "TruncatedSeries":
         """Series with coefficient value/k! at exponent k for each (k, value).
 
@@ -226,12 +220,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             [k * c for k, c in enumerate(self._coeffs)][1:]
         )
-
-    def antiderivative(self, constant: Scalar = 0) -> "TruncatedSeries":
-        """Formal antiderivative with given constant term; order grows by one."""
-        out = [_as_rational(constant)]
-        out.extend(c / (k + 1) for k, c in enumerate(self._coeffs))
-        return TruncatedSeries(out)
 
     # -- comparison and display -------------------------------------------
 

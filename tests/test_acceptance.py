@@ -62,7 +62,7 @@ def test_criterion_01_deg2_recursion_vs_closed_form():
 
 
 def test_criterion_02_deg3_recursion_vs_closed_form():
-    table = l3_table(25)
+    table = l3_table(l2_table(25))
     closed = closed_form_L3(52)
     assert table.L[0] == 1
     assert table.L[1] == 3
@@ -73,7 +73,7 @@ def test_criterion_02_deg3_recursion_vs_closed_form():
 
 def test_criterion_03_conjecture_to_order_51():
     assert conjecture_series(1, 51) == TruncatedSeries.one(51)
-    for table in (l2_table(25), l3_table(24)):
+    for table in (l2_table(25), l3_table(l2_table(24))):
         d = table.degree
         assert conjecture_series(d, 51) == i_series(table, 51), f"degree {d}"
     report(3, "conjecture series = table series to order 51 for d in {1,2,3}")
@@ -100,14 +100,16 @@ def test_criterion_05_two_linearizations_agree():
 
 
 def test_criterion_06_auxiliary_integral_vanishes():
-    t2, t3 = l2_table(25), l3_table(25)
+    t2 = l2_table(25)
+    t3 = l3_table(t2)
     for g in range(26):
         assert deg3_aux_residual(g, l2=t2, l3=t3) == 0, f"g={g}"
     report(6, "auxiliary-integral residual = 0 for g<=25")
 
 
 def test_criterion_07_ode_residuals_vanish_to_order_41():
-    t2, t3 = l2_table(20), l3_table(20)
+    t2 = l2_table(20)
+    t3 = l3_table(t2)
     assert ode_residual_deg2(t2, 41).is_zero()
     assert ode_residual_deg3(t2, t3, 41).is_zero()
     report(7, "both ODE residual series vanish identically to order 41")
@@ -115,7 +117,7 @@ def test_criterion_07_ode_residuals_vanish_to_order_41():
 
 def test_criterion_08_multiple_cover_coefficients():
     assert j_series(l2_table(0), 2).coeff(2) == F(1, 8)
-    assert j_series(l3_table(1), 4).coeff(4) == F(1, 27)
+    assert j_series(l3_table(l2_table(1)), 4).coeff(4) == F(1, 27)
     report(8, "lowest J coefficients are 1/8 and 1/27 (the 1/d^3 law)")
 
 
@@ -129,7 +131,7 @@ def test_criterion_09_j_route_equivalence():
         F(16, 3) * sin_scaled(F(1, 2), 32) ** 6,
         sin_scaled(F(3, 2), 32) ** 2,
     )
-    assert j_series(l3_table(14), 30) == trig
+    assert j_series(l3_table(l2_table(14)), 30) == trig
     report(9, "locus J2 = tan^2 route for g<=15; J3 series = trig closed form to order 30")
 
 
@@ -171,7 +173,7 @@ def test_criterion_10_property_suites():
                 assert len(counts) == 1
 
     # Parity of every generating function in the catalog.
-    t2, t3 = l2_table(10), l3_table(9)
+    t2, t3 = l2_table(10), l3_table(l2_table(9))
     i2, i3 = i_series(t2, 21), i_series(t3, 21)
     j2, j3 = j_series(t2, 21), j_series(t3, 21)
     assert all(i2.coeff(k) == 0 for k in range(0, 22, 2))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -158,6 +159,24 @@ def test_table_rationals_never_floats(capsys):
         assert "." not in value and "e" not in value.lower()
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+def test_answers_past_the_int_str_digit_limit(capsys):
+    # 9^4600 has 4390 digits, past CPython's default limit of 4300 on int/str
+    # conversion; the limit is lifted for the answer and restored after it.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "table", "--what", "P3full", "--gmax", "4600")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    last = out.splitlines()[-1]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert last == f"g=4600: {9**4600}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -186,12 +205,13 @@ def test_l_and_i_requests_build_no_j_row(capsys, monkeypatch, argv):
 def spy_on_tables(monkeypatch):
     """Record (degree, gmax) of every table solved through hodge's builders."""
     built = []
-    for degree, name in ((2, "l2_table"), (3, "l3_table")):
+    for name in ("l2_table", "l3_table"):
         builder = getattr(hodge, name)
 
-        def spy(gmax, builder=builder, degree=degree):
-            built.append((degree, gmax))
-            return builder(gmax)
+        def spy(arg, builder=builder):
+            table = builder(arg)
+            built.append((table.degree, table.gmax))
+            return table
 
         monkeypatch.setattr(hodge, name, spy)
     return built
@@ -255,12 +275,14 @@ def test_verify_hurwitz_range_follows_the_bound(capsys, monkeypatch):
 
 
 def test_verify_all_solves_each_table_once(capsys, monkeypatch):
+    # Each degree is solved once, at the reach of --order + 1 (genus 10 at
+    # order 21), also when --gmax is below it.
     built = spy_on_tables(monkeypatch)
-    code, out, _ = run_cli(capsys, "verify", "--all")
-    assert code == 0 and out.count(": pass") == 8
-    # One of the L2 tables is the one l3_table solves inside.
-    assert [gmax for degree, gmax in built if degree == 3] == [10]
-    assert sum(degree == 2 for degree, _ in built) <= 2
+    for argv in ([], ["--gmax", "3", "--order", "21"]):
+        built.clear()
+        code, out, _ = run_cli(capsys, "verify", "--all", *argv)
+        assert code == 0 and out.count(": pass") == 8
+        assert built == [(2, 10), (3, 10)]
 
 
 @pytest.mark.parametrize(

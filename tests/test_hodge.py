@@ -37,7 +37,7 @@ def test_l2_spot_values():
 
 
 def test_l3_spot_values():
-    t = l3_table(3)
+    t = l3_table(l2_table(3))
     assert [t.L[g] for g in range(3)] == [1, 3, 21]
     assert t.L[3] == F(809, 3)
     assert t.P_full == [9**g for g in range(4)]
@@ -45,7 +45,8 @@ def test_l3_spot_values():
 
 
 def test_table_invariants():
-    t2, t3 = l2_table(8), l3_table(8)
+    t2 = l2_table(8)
+    t3 = l3_table(t2)
     assert t2.L[0] == F(1, 2)
     for g in range(9):
         assert t2.I[g] == -t2.L[g] / 2
@@ -54,9 +55,9 @@ def test_table_invariants():
     assert t3.I[0] == F(2, 9) and t3.J[0] == F(8, 9)
 
 
-@pytest.mark.parametrize("build", [l2_table, l3_table])
-def test_derived_rows_follow_a_replaced_l(build):
-    t = build(5)
+@pytest.mark.parametrize("degree", [2, 3], ids=["l2_table", "l3_table"])
+def test_derived_rows_follow_a_replaced_l(degree):
+    t = l2_table(5) if degree == 2 else l3_table(l2_table(5))
     bumped = dataclasses.replace(t, L=[t.L[0], t.L[1] + 1, *t.L[2:]])
     d, order = t.degree, 2 * t.gmax + 2 * t.degree - 2
     scale = F(-1, 2) if d == 2 else F(2, 9)
@@ -73,7 +74,7 @@ def test_table_validation():
     with pytest.raises(ValueError):
         l2_table(-1)
     with pytest.raises(ValueError):
-        l3_table(-3)
+        l3_table(l2_table(-3))
 
 
 # -- closed forms ----------------------------------------------------------
@@ -99,7 +100,8 @@ def test_closed_form_L3_leading_terms():
 
 @pytest.mark.parametrize("gmax", [0, 1, 5, 12])
 def test_recursion_matches_closed_form(gmax):
-    t2, t3 = l2_table(gmax), l3_table(gmax)
+    t2 = l2_table(gmax)
+    t3 = l3_table(t2)
     cf2 = closed_form_L2(2 * gmax + 1)
     cf3 = closed_form_L3(2 * gmax + 2)
     for g in range(gmax + 1):
@@ -108,7 +110,7 @@ def test_recursion_matches_closed_form(gmax):
 
 
 def test_l_series_roundtrips_table():
-    t = l3_table(4)
+    t = l3_table(l2_table(4))
     s = l_series(t, 10)
     for g in range(5):
         assert egf_value(s, 2 * g + 2) == t.L[g]
@@ -122,14 +124,14 @@ def test_i_series_values():
     i2 = i_series(l2_table(3), 7)
     assert i2.coeff(1) == F(-1, 4)
     assert i2.coeff(3) == F(-1, 48)
-    i3 = i_series(l3_table(2), 6)
+    i3 = i_series(l3_table(l2_table(2)), 6)
     assert i3.coeff(2) == F(1, 9)
     assert i3.coeff(4) == F(1, 36)
     assert egf_value(i3, 2) == F(2, 9)
 
 
 def test_i_series_parity():
-    i2, i3 = i_series(l2_table(7), 15), i_series(l3_table(6), 15)
+    i2, i3 = i_series(l2_table(7), 15), i_series(l3_table(l2_table(6)), 15)
     assert all(i2.coeff(k) == 0 for k in range(0, 16, 2))
     assert all(i3.coeff(k) == 0 for k in range(1, 16, 2))
 
@@ -138,7 +140,7 @@ def test_i_series_parity():
 def test_row_series_reject_a_short_table(row_series):
     # Row g sits at exponent 2g+d-1: order 7 needs L2 to genus 3 and order 8
     # needs L3 to genus 3.
-    for table, order in ((l2_table(3), 7), (l3_table(3), 8)):
+    for table, order in ((l2_table(3), 7), (l3_table(l2_table(3)), 8)):
         row_series(table, order)
         short = dataclasses.replace(table, L=table.L[:3])
         with pytest.raises(ValueError, match="reach genus 3"):
@@ -146,7 +148,7 @@ def test_row_series_reject_a_short_table(row_series):
 
 
 def test_j_series_values_and_parity():
-    j2, j3 = j_series(l2_table(5), 12), j_series(l3_table(5), 12)
+    j2, j3 = j_series(l2_table(5), 12), j_series(l3_table(l2_table(5)), 12)
     assert j2.coeff(2) == F(1, 8)
     assert j3.coeff(4) == F(1, 27)
     assert egf_value(j2, 2) == F(1, 4)
@@ -156,7 +158,7 @@ def test_j_series_values_and_parity():
 
 
 def test_j_square_identity_by_construction():
-    for table in (l2_table(6), l3_table(6)):
+    for table in (l2_table(6), l3_table(l2_table(6))):
         base = i_series(table, 14)
         assert j_series(table, 14) == table.degree * base * base
 
@@ -175,7 +177,7 @@ def test_conjecture_degree_one_is_constant():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_conjecture_matches_tables(d):
-    table = l2_table(12) if d == 2 else l3_table(11)
+    table = l2_table(12) if d == 2 else l3_table(l2_table(11))
     assert conjecture_series(d, 25) == i_series(table, 25)
 
 
@@ -197,13 +199,15 @@ def test_conjecture_validation():
 
 
 def test_ode_residuals_vanish():
-    t2, t3 = l2_table(10), l3_table(10)
+    t2 = l2_table(10)
+    t3 = l3_table(t2)
     assert ode_residual_deg2(t2, 20).is_zero()
     assert ode_residual_deg3(t2, t3, 20).is_zero()
 
 
 def test_ode_residual_orders():
-    t2, t3 = l2_table(8), l3_table(8)
+    t2 = l2_table(8)
+    t3 = l3_table(t2)
     assert ode_residual_deg2(t2, 15).order == 15
     assert ode_residual_deg3(t2, t3, 16).order == 16
     with pytest.raises(ValueError):
@@ -224,7 +228,7 @@ def test_perturbed_l2_detected():
 
 
 def test_perturbed_l3_detected():
-    bumped = perturbed(l3_table(10), bump_at=2, delta=F(1, 7))
+    bumped = perturbed(l3_table(l2_table(10)), bump_at=2, delta=F(1, 7))
     assert not ode_residual_deg3(l2_table(10), bumped, 20).is_zero()
 
 

@@ -247,8 +247,3 @@ def test_p3_families_match_closed_forms():
         p3_full(-2)
     with pytest.raises(ValueError):
         p3_trans(-1)
-
-
-def test_p3_trans_respects_bound():
-    with pytest.raises(EnumerationBoundError):
-        p3_trans(3, max_tuples=100)

@@ -17,7 +17,8 @@ from admcalc.series import egf_value
 F = Fraction
 
 
-T2, T3 = l2_table(12), l3_table(12)
+T2 = l2_table(12)
+T3 = l3_table(T2)
 
 
 def test_linA_values():
@@ -43,7 +44,8 @@ def test_term_counts():
 
 
 def test_genera_sum_to_ambient_genus():
-    t2, t3 = l2_table(6), l3_table(6)
+    t2 = l2_table(6)
+    t3 = l3_table(t2)
     for g in range(7):
         for family, degree in (("linA", 2), ("linB", 2), ("J", 2), ("aux", 3)):
             for term in enumerate_loci(degree, g, family, l2=t2, l3=t3):
@@ -65,7 +67,8 @@ def test_aux_terms_carry_inverse_hbar():
 
 
 def test_aux_residual_vanishes():
-    t2, t3 = l2_table(12), l3_table(12)
+    t2 = l2_table(12)
+    t3 = l3_table(t2)
     for g in range(13):
         assert deg3_aux_residual(g, l2=t2, l3=t3) == 0
 
@@ -77,16 +80,30 @@ def test_aux_residual_spot_structure():
 
 
 def test_perturbed_p3_trans_breaks_vanishing():
-    t3 = l3_table(4)
+    t3 = l3_table(l2_table(4))
     bumped = dataclasses.replace(t3, P_trans=[F(5), *t3.P_trans[1:]])
     for g in range(5):
         assert deg3_aux_residual(g, l2=l2_table(4), l3=bumped) != 0
 
 
 def test_perturbed_l3_breaks_vanishing():
-    t3 = l3_table(4)
+    t3 = l3_table(l2_table(4))
     bumped = dataclasses.replace(t3, L=[t3.L[0], t3.L[1] + 1, *t3.L[2:]])
     assert deg3_aux_residual(1, l2=l2_table(4), l3=bumped) != 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_l3_table_solves_from_the_l2_rows_given(k):
+    # L3(g) reads L2 rows 0..g only, and the vanishing relation holds for
+    # whatever L2 row the L3 table was solved from.
+    L = list(T2.L)
+    L[k] += 1
+    l2 = dataclasses.replace(T2, L=L)
+    l3 = l3_table(l2)
+    assert l3.L[:k] == T3.L[:k]
+    assert l3.L[k] != T3.L[k]
+    for g in range(l2.gmax + 1):
+        assert deg3_aux_residual(g, l2=l2, l3=l3) == 0
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
@@ -179,7 +196,7 @@ def test_aux_needs_the_l3_table():
 @pytest.mark.parametrize("family, degree", [("linA", 2), ("linB", 2), ("J", 2), ("aux", 3)])
 def test_tables_must_reach_the_genus(family, degree):
     with pytest.raises(ValueError, match="reach genus 4"):
-        enumerate_loci(degree, 4, family, l2_table(3), l3_table(4))
+        enumerate_loci(degree, 4, family, l2_table(3), l3_table(l2_table(4)))
     if family == "aux":
         with pytest.raises(ValueError, match="reach genus 4"):
-            enumerate_loci(degree, 4, family, l2_table(4), l3_table(3))
+            enumerate_loci(degree, 4, family, l2_table(4), l3_table(l2_table(3)))

@@ -30,6 +30,9 @@ def test_traced_benchmark_installs():
         "assert cli.run(['table', '--what', 'J3', '--gmax', '2']) == 0\n"
         "assert tracer.n['hodge.table_calls'] == 2\n"
         "assert cli.run(['verify', '--all', '--gmax', '2', '--order', '6']) == 0\n"
+        "calls = tracer.n['hodge.table_calls']\n"
+        "assert cli.run(['verify', '--all', '--gmax', '3', '--order', '21']) == 0\n"
+        "assert tracer.n['hodge.table_calls'] == calls + 2\n"
         "assert cli.run(['series', '--what', 'J', '--degree', '3']) == 0\n"
         "assert tracer.n['localization.terms'] > 0\n"
     )
