@@ -227,7 +227,7 @@ def _suite_linearizations(gmax: int, order: int, tables: TableGetter) -> bool:
 def _suite_aspinwall(gmax: int, order: int, tables: TableGetter) -> bool:
     n = max(order, 4)
     t2 = tables(2, gmax)
-    t3 = tables(3)  # it has the L2 table's genus, >= 1, so it reaches x^4
+    t3 = tables(3)  # it reaches --order + 1; J3 row g sits at x^(2g+4)
     if hodge.j_series(t2, 2).coeff(2) != Fraction(1, 8):
         return False
     if hodge.j_series(t3, 4).coeff(4) != Fraction(1, 27):
@@ -341,20 +341,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _parse_profile(text: str) -> list[int]:
+def _parse_profile(text: str) -> CycleType:
+    """The ``--profile`` type: argparse calls it while argv is parsed."""
     try:
-        parts = [int(p) for p in text.split(",")]
+        return CycleType(tuple(int(p) for p in text.split(",")))
     except ValueError:
-        raise ValueError(f"profile {text!r} is not a comma-separated integer list")
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError(f"profile {text!r} must list positive cycle lengths")
-    return parts
+        raise argparse.ArgumentTypeError(
+            f"profile {text!r} is not a comma-separated list of positive integers"
+        ) from None
 
 
 def _cmd_hurwitz(args: argparse.Namespace) -> int:
     try:
-        profiles = tuple(CycleType(tuple(_parse_profile(p))) for p in args.profile)
-        profile = BranchProfile(args.degree, profiles)
+        profile = BranchProfile(args.degree, args.profile)
     except ValueError as exc:
         return _usage_error(str(exc))
     count = hurwitz_count(
@@ -403,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hurwitz = commands.add_parser("hurwitz", help="count monodromy tuples")
     hurwitz.add_argument("--degree", type=int, required=True)
     hurwitz.add_argument(
-        "--profile", action="append", required=True,
+        "--profile", action="append", required=True, type=_parse_profile,
         help="comma-separated cycle lengths; repeat once per branch point",
     )
     hurwitz.add_argument("--disconnected", action="store_true")

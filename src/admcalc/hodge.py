@@ -169,33 +169,35 @@ def l3_table(l2: HodgeTable) -> HodgeTable:
 
 
 def _genus_for_order(degree: int, order: int) -> int:
-    """The genus a table must reach to fill a row series truncated at ``order``.
-
-    Both L-families, and so the I-families, sit at exponent 2g + d - 1.
-    """
+    """The genus an L or I row, at exponent 2g + d - 1, needs to fill ``order``."""
     return max(0, (order - degree + 1) // 2)
 
 
-def _row_series(degree: int, row: list[Fraction], order: int) -> TruncatedSeries:
-    needed = _genus_for_order(degree, order)
+def _row_series(
+    table: HodgeTable, row: list[Fraction], shift: int, order: int
+) -> TruncatedSeries:
+    """EGF of one of the table's rows, row g at exponent 2g + d - 1 + shift.
+
+    L and I have shift 0 and J, at 2g + 2d - 2, has shift d - 1; the row
+    must reach the genus of the last exponent at or below ``order``.
+    """
+    needed = _genus_for_order(table.degree, order - shift)
     if len(row) <= needed:
         raise ValueError(
-            f"order {order} needs the degree-{degree} table to reach genus "
+            f"order {order} needs the degree-{table.degree} table to reach genus "
             f"{needed}; it reaches genus {len(row) - 1}"
         )
+    start = table.degree - 1 + shift
     return TruncatedSeries.from_egf(
-        (
-            (2 * g + degree - 1, value)
-            for g, value in enumerate(row)
-            if 2 * g + degree - 1 <= order
-        ),
+        ((2 * g + start, value) for g, value in enumerate(row)
+         if 2 * g + start <= order),
         order,
     )
 
 
 def l_series(table: HodgeTable, order: int) -> TruncatedSeries:
     """EGF of the table's L-values, truncated at the given order."""
-    return _row_series(table.degree, table.L, order)
+    return _row_series(table, table.L, 0, order)
 
 
 def _table_for_order(degree: int, order: int) -> HodgeTable:
@@ -244,13 +246,12 @@ def conjecture_series(d: int, N: int) -> TruncatedSeries:
 
 def i_series(table: HodgeTable, order: int) -> TruncatedSeries:
     """EGF of the one-point invariants I_d(g) of the table's degree."""
-    return _row_series(table.degree, table.I, order)
+    return _row_series(table, table.I, 0, order)
 
 
 def j_series(table: HodgeTable, order: int) -> TruncatedSeries:
-    """d times the square of i_series; the identity proven for d in {2, 3}."""
-    base = i_series(table, order)
-    return table.degree * base * base
+    """EGF of the J row: the two-point invariants J_d(g) at x^(2g+2d-2)."""
+    return _row_series(table, table.J, table.degree - 1, order)
 
 
 def p3_full_series(N: int) -> TruncatedSeries:
@@ -264,17 +265,17 @@ def p3_trans_series(N: int) -> TruncatedSeries:
 
 
 def j_relation_check(g: int) -> bool:
-    """Compare the binomial-sum J2(g) with the square-identity route.
+    """Compare the table's J2(g) with the square 2 * I2^2 taken as a series.
 
-    Both sides expand the same product 2 * I2^2, one as the J convolution
-    the table uses and one as a series product, so this restates the table's
-    J recursion rather than testing it against an independent route.
+    The table side is the binomial convolution ``_j_terms``; the square side
+    multiplies ``i_series`` by itself.  Both expand the same product, so this
+    checks the convolution's binomials, not an independent route.
     """
     if g < 0:
         raise ValueError("genus must be >= 0")
     table = l2_table(g)
-    binomial_sum = sum(_j_terms(2, g, table.I))
-    return binomial_sum == egf_value(j_series(table, 2 * g + 2), 2 * g + 2)
+    base = i_series(table, 2 * g + 2)
+    return table.J[g] == egf_value(2 * base * base, 2 * g + 2)
 
 
 def ode_residual_deg2(l2: HodgeTable, N: int) -> TruncatedSeries:

@@ -287,30 +287,27 @@ def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return _div_series(f, g)
 
 
-def sin_scaled(a: Scalar, order: int) -> TruncatedSeries:
-    """Taylor expansion of sin(a*x) through x^order, exactly."""
+def _taylor(a: Scalar, order: int, first: int) -> TruncatedSeries:
+    """sin(a*x) (first = 1) or cos(a*x) (first = 0) through x^order, exactly."""
     if order < 0:
         raise ValueError("order must be >= 0")
     a = _as_rational(a)
     coeffs = [Fraction(0)] * (order + 1)
     sign = 1
-    for k in range(1, order + 1, 2):
+    for k in range(first, order + 1, 2):
         coeffs[k] = sign * a**k / math.factorial(k)
         sign = -sign
     return TruncatedSeries(coeffs)
+
+
+def sin_scaled(a: Scalar, order: int) -> TruncatedSeries:
+    """Taylor expansion of sin(a*x) through x^order, exactly."""
+    return _taylor(a, order, 1)
 
 
 def cos_scaled(a: Scalar, order: int) -> TruncatedSeries:
     """Taylor expansion of cos(a*x) through x^order, exactly."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    a = _as_rational(a)
-    coeffs = [Fraction(0)] * (order + 1)
-    sign = 1
-    for k in range(0, order + 1, 2):
-        coeffs[k] = sign * a**k / math.factorial(k)
-        sign = -sign
-    return TruncatedSeries(coeffs)
+    return _taylor(a, order, 0)
 
 
 def egf_value(f: TruncatedSeries, k: int) -> Fraction:

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +179,22 @@ def test_answers_past_the_int_str_digit_limit(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_j_outputs_match_the_benchmark_records(capsys):
+    # The benchmark records the sha256 of every stdout it can request; the
+    # json-format J series and tables are pinned here as well.
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    outputs = json.loads(reference.read_text(encoding="utf-8"))["outputs"]
+    j_requests = {
+        argv: digest for argv, digest in outputs.items()
+        if "--what J" in argv and "--format json" in argv
+    }
+    assert len(j_requests) == 12
+    for argv, digest in j_requests.items():
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -250,6 +268,24 @@ def test_verify_reports_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--all", "--gmax", "2", "--order", "6")
     assert code == 1
     assert "rel2: fail" in out
+
+
+def test_verify_aspinwall_reads_the_j3_rows(capsys, monkeypatch):
+    # A wrong degree-3 convolution summand changes what `table --what J3`
+    # prints; the aspinwall suite must see it in the J3 series it compares.
+    j_terms = hodge._j_terms
+
+    def wrong(d, g, I):
+        terms = j_terms(d, g, I)
+        if d == 3 and g == 2:
+            terms[1] += 1
+        return terms
+
+    monkeypatch.setattr(hodge, "_j_terms", wrong)
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "aspinwall", "--gmax", "4", "--order", "11"
+    )
+    assert (code, out) == (1, "aspinwall: fail\n")
 
 
 def test_verify_hurwitz_range_follows_the_bound(capsys, monkeypatch):
@@ -343,6 +379,18 @@ def test_hurwitz_bad_profile(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "hurwitz", "--degree", "3", "--profile", "0,3")
     assert code == 2
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+)
+def test_hurwitz_profile_parsed_under_the_digit_limit(capsys):
+    # A 5000-digit cycle length is past CPython's default limit of 4300 digits
+    # and is refused while argv is parsed, before it can become an integer.
+    code, _, err = run_cli(capsys, "hurwitz", "--degree", "2", "--profile", "1" * 5000)
+    assert code == 2
+    assert "not a comma-separated list of positive integers" in err
+    assert "partition" not in err
 
 
 def test_hurwitz_bound_flag_and_env(capsys):

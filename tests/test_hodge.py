@@ -136,15 +136,29 @@ def test_i_series_parity():
     assert all(i3.coeff(k) == 0 for k in range(1, 16, 2))
 
 
-@pytest.mark.parametrize("row_series", [l_series, i_series, j_series])
-def test_row_series_reject_a_short_table(row_series):
-    # Row g sits at exponent 2g+d-1: order 7 needs L2 to genus 3 and order 8
-    # needs L3 to genus 3.
-    for table, order in ((l2_table(3), 7), (l3_table(l2_table(3)), 8)):
+@pytest.mark.parametrize(
+    "row_series, orders",
+    [(l_series, (7, 8)), (i_series, (7, 8)), (j_series, (8, 10))],
+    ids=["l_series", "i_series", "j_series"],
+)
+def test_row_series_reject_a_short_table(row_series, orders):
+    # L and I row g sit at exponent 2g+d-1: order 7 needs L2 to genus 3 and
+    # order 8 needs L3 to genus 3.  J row g sits at 2g+2d-2: order 8 needs J2
+    # to genus 3 and order 10 needs J3 to genus 3.
+    tables = (l2_table(3), l3_table(l2_table(3)))
+    for table, order in zip(tables, orders):
         row_series(table, order)
         short = dataclasses.replace(table, L=table.L[:3])
         with pytest.raises(ValueError, match="reach genus 3"):
             row_series(short, order)
+
+
+def test_j_series_reads_only_the_rows_it_needs():
+    # At order 7 the J2 row reaches x^6, genus 2, one row short of what
+    # i_series needs at the same order.
+    assert j_series(l2_table(2), 7) == j_series(l2_table(3), 7)
+    with pytest.raises(ValueError, match="reach genus 3"):
+        i_series(l2_table(2), 7)
 
 
 def test_j_series_values_and_parity():
