@@ -1,7 +1,8 @@
 """Exact truncated power series over the rationals.
 
 Every coefficient is a ``fractions.Fraction``; no value ever passes through
-floating point.  A series carries its truncation order N (the largest tracked
+floating point.  Products and quotients of two series sum integer numerators
+over a common denominator and build one ``Fraction`` per coefficient.  A series carries its truncation order N (the largest tracked
 exponent), and each operation states the order of its result.  Binary
 operations insist on equal orders, so order bookkeeping mistakes surface as
 errors instead of silently wrong tails.
@@ -44,6 +45,13 @@ def _as_rational(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as a rational coefficient")
+
+
+def _integer_terms(coeffs: tuple[Fraction, ...]) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero coefficients as (exponent, numerator) over their lcm denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    terms = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(coeffs) if c]
+    return terms, den
 
 
 class TruncatedSeries:
@@ -180,15 +188,18 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
             n = self.order
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self._coeffs):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other._coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return TruncatedSeries(out)
+            # Integer sums over a_den * b_den, one Fraction per coefficient;
+            # zero coefficients of either factor contribute no terms.
+            a_terms, a_den = _integer_terms(self._coeffs)
+            b_terms, b_den = _integer_terms(other._coeffs)
+            sums = [0] * (n + 1)
+            for i, a in a_terms:
+                for j, b in b_terms:
+                    if i + j > n:
+                        break
+                    sums[i + j] += a * b
+            den = a_den * b_den
+            return TruncatedSeries([Fraction(s, den) for s in sums])
         try:
             c = _as_rational(other)
         except TypeError:
@@ -208,8 +219,10 @@ class TruncatedSeries:
     def __pow__(self, k: int) -> "TruncatedSeries":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = TruncatedSeries.one(self.order)
-        for _ in range(k):
+        if k == 0:
+            return TruncatedSeries.one(self.order)
+        result = self
+        for _ in range(k - 1):
             result = result * self
         return result
 
@@ -265,15 +278,30 @@ def _div_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
         f = f._shift_down(v)
         g = g._shift_down(v)
         n -= v
-    fc, gc = f.coeffs, g.coeffs
-    lead = gc[0]
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        acc = fc[k]
-        for i in range(1, k + 1):
-            if gc[i]:
-                acc -= gc[i] * out[k - i]
-        out[k] = acc / lead
+    # With g = G/g_den and the quotient so far q = Q/q_den in integers,
+    # q_k = (f_k - sum_i g_i q_(k-i)) / g_0 is one integer dot product and
+    # one Fraction.  q_den is the lcm of the denominators of q_0..q_(k-1).
+    g_terms, g_den = _integer_terms(g.coeffs)
+    _, lead = g_terms[0]
+    tail = g_terms[1:]
+    out: list[Fraction] = []
+    nums: list[int] = []
+    q_den = 1
+    for k, c in enumerate(f.coeffs):
+        dot = 0
+        for i, b in tail:
+            if i > k:
+                break
+            dot += b * nums[k - i]
+        p, q = c.numerator, c.denominator
+        value = Fraction(p * g_den * q_den - dot * q, q * q_den * lead)
+        if q_den % value.denominator:
+            new_den = math.lcm(q_den, value.denominator)
+            scale = new_den // q_den
+            nums = [x * scale for x in nums]
+            q_den = new_den
+        nums.append(value.numerator * (q_den // value.denominator))
+        out.append(value)
     return TruncatedSeries(out)
 
 

@@ -195,6 +195,22 @@ def test_j_outputs_match_the_benchmark_records(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_conjecture_outputs_match_the_benchmark_records(capsys):
+    # The conjecture series is a product power over a quotient, so these
+    # records pin both loops of the series kernel at orders up to 321.
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    outputs = json.loads(reference.read_text(encoding="utf-8"))["outputs"]
+    conjecture_requests = {
+        argv: digest for argv, digest in outputs.items()
+        if "--what conjecture" in argv and "--format json" in argv
+    }
+    assert len(conjecture_requests) == 18
+    for argv, digest in conjecture_requests.items():
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admcalc.series import (
     OrderMismatchError,
@@ -111,6 +113,23 @@ def test_pow():
     assert (f**0) == TruncatedSeries.one(4)
     with pytest.raises(ValueError):
         f ** (-1)
+
+
+def test_pow_multiplies_k_minus_one_times(monkeypatch):
+    f = TruncatedSeries([Fraction(1, 2), -1, 3], order=5)
+    expected = [TruncatedSeries.one(5), f, f * f, f * f * f]
+    calls = []
+    mul = TruncatedSeries.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    for k, power in enumerate(expected):
+        calls.clear()
+        assert f**k == power
+        assert len(calls) == max(k - 1, 0)
 
 
 def test_derivative_antiderivative():
@@ -330,3 +349,80 @@ def test_equality_and_hash():
     g = TruncatedSeries([1, 2, 0, 0])
     assert f == g and hash(f) == hash(g)
     assert f != g.truncate(2)
+
+
+# -- integer kernel against a schoolbook Fraction oracle ---------------------
+
+
+def schoolbook_mul(a, b):
+    n = len(a) - 1
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def schoolbook_div(f, g):
+    v = next(k for k, c in enumerate(g) if c)
+    f, g = f[v:], g[v:]
+    out = []
+    for k in range(len(f)):
+        acc = f[k] - sum(g[i] * out[k - i] for i in range(1, k + 1))
+        out.append(acc / g[0])
+    return out
+
+
+# Zero, integer-only, small and large-denominator coefficients, either sign.
+COEFF_KINDS = [
+    st.integers(-30, 30).map(Fraction),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    st.builds(
+        Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)
+    ),
+]
+
+
+@st.composite
+def coefficients(draw, length):
+    kind = draw(st.sampled_from(COEFF_KINDS))
+    return draw(
+        st.lists(
+            st.one_of(st.just(Fraction(0)), kind), min_size=length, max_size=length
+        )
+    )
+
+
+@st.composite
+def series_pair(draw):
+    order = draw(st.integers(0, 14))
+    return draw(coefficients(order + 1)), draw(coefficients(order + 1))
+
+
+def assert_fraction_series(result, expected):
+    assert result == TruncatedSeries(expected)
+    # Fraction coefficients keep str() printing p/q or p.
+    assert all(type(c) is Fraction for c in result.coeffs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(series_pair())
+def test_mul_matches_schoolbook_oracle(pair):
+    a, b = pair
+    assert_fraction_series(TruncatedSeries(a) * TruncatedSeries(b), schoolbook_mul(a, b))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(series_pair(), st.integers(0, 4), st.data())
+def test_div_matches_schoolbook_oracle(pair, v, data):
+    f, g = pair
+    order = len(f) - 1
+    v = min(v, order)
+    # g has valuation exactly v; f is divisible by x^v, as division requires.
+    lead = data.draw(st.sampled_from(COEFF_KINDS).flatmap(lambda kind: kind.filter(bool)))
+    g = [Fraction(0)] * v + [lead] + g[v + 1:]
+    f = [Fraction(0)] * v + f[v:]
+    quotient = TruncatedSeries(f) / TruncatedSeries(g)
+    assert quotient.order == order - v
+    assert_fraction_series(quotient, schoolbook_div(f, g))
+    assert div(TruncatedSeries(f), TruncatedSeries(g)) == quotient
