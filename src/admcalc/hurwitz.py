@@ -14,11 +14,14 @@ the same state are kept once, with their multiplicity.  The last
 permutation is forced (it inverts the product), so closing the fold checks
 its cycle type and, for connected counts, that it joins the orbits into
 one.  Each conjugacy class is built directly from its cycle structure,
-never by scanning S_d.
+never by scanning S_d: its moved points are chosen first, then its cycles
+are placed among them, one recursion level per non-trivial cycle.
 
 A hard bound on the raw search space, the product of the first n-1
 conjugacy class sizes, guards against accidental explosions.  It counts the
 tuples the fold stands for; no slot of the fold holds more states than that.
+A class with more non-trivial cycles than the interpreter's stack has
+levels is refused with the same error.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Iterator
 
@@ -47,7 +50,8 @@ DEFAULT_MAX_TUPLES = 10**9
 
 
 class EnumerationBoundError(RuntimeError):
-    """Raw tuple space exceeds the configured enumeration bound."""
+    """Raw tuple space exceeds the configured enumeration bound, or a
+    conjugacy class is too deep to build."""
 
 
 def _type_of_images(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -108,52 +112,43 @@ def _class_images(d: int, parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Yield each permutation of S_d with cycle type ``parts`` exactly once,
     as a 0-based image tuple.
 
-    The least point not yet placed opens a cycle of each length still
-    available, and an ordered choice of the cycle's other points follows, so
+    The set of moved points is chosen first, so no fixed point is visited.
+    Inside it, the least point not yet placed opens a cycle of each length
+    still left, and an ordered choice of the cycle's other points follows:
     every permutation is built from its cycles written from their least
-    point.  The walk keeps its own stack: a class with many fixed points
-    would otherwise nest one call per point.
+    point.  The recursion is one level deep per non-trivial cycle; a class
+    with more cycles than the interpreter's stack holds is refused.
     """
-    left = Counter(parts)
+    cycles = [length for length in parts if length > 1]
+    left = Counter(cycles)
     images = list(range(d))
-    free = [True] * d
 
-    def complete() -> bool:
-        # Only fixed points remain, and free points already map to themselves.
-        return not any(left[length] for length in left if length > 1)
-
-    def cycles_from(start: int) -> Iterator[bool]:
-        # Each choice is undone before the next, so the state seen when this
-        # frame advances is the state it was created in.
-        free[start] = False
-        others = [i for i in range(start + 1, d) if free[i]]
+    def cycles_from(free: list[int]) -> Iterator[tuple[int, ...]]:
+        start, others = free[0], free[1:]
         for length in [k for k in left if left[k]]:
             left[length] -= 1
             for tail in permutations(others, length - 1):
-                cycle = (start, *tail)
-                for i, j in zip(cycle, (*tail, start)):
+                for i, j in zip((start, *tail), (*tail, start)):
                     images[i] = j
-                for i in tail:
-                    free[i] = False
-                yield True
-                for i in cycle:
-                    images[i] = i
-                for i in tail:
-                    free[i] = True
+                rest = [i for i in others if i not in tail]
+                if rest:
+                    yield from cycles_from(rest)
+                else:
+                    yield tuple(images)
             left[length] += 1
-        free[start] = True
 
-    if complete():
+    if not cycles:
         yield tuple(images)
         return
-    stack = [cycles_from(0)]
-    while stack:
-        if not next(stack[-1], False):
-            stack.pop()
-        elif complete():
-            yield tuple(images)
-        else:
-            stack.append(cycles_from(free.index(True)))
+    try:
+        for points in combinations(range(d), sum(cycles)):
+            yield from cycles_from(list(points))
+            for i in points:
+                images[i] = i
+    except RecursionError:
+        raise EnumerationBoundError(
+            f"a class with {len(cycles)} non-trivial cycles is too deep to build"
+        ) from None
 
 
 def permutations_with_type(d: int, t: CycleType) -> list[tuple[int, ...]]:

@@ -76,9 +76,6 @@ class FixedLocusTerm:
     hbar_exponent: int
 
 
-_FAMILIES = {2: ("linA", "linB", "J"), 3: ("aux",)}
-
-
 def _deg2_linA_terms(g: int, l2: HodgeTable) -> list[FixedLocusTerm]:
     # Single locus: genus-g component over 0, its lambda-lambda-psi sum
     # giving L2(g), with overall weight -1/2.
@@ -164,7 +161,6 @@ def _j_loci(g: int, l2: HodgeTable) -> list[FixedLocusTerm]:
 
 
 def enumerate_loci(
-    degree: int,
     g: int,
     family: str,
     l2: HodgeTable,
@@ -174,17 +170,16 @@ def enumerate_loci(
 
     Families: ``linA`` and ``linB`` (degree 2, both linearizations of the
     one-point integral), ``J`` (degree 2, two-point integral), ``aux``
-    (degree 3, vanishing auxiliary integral).  Every family reads the L2
-    table ``l2``; ``aux`` also reads the L3 table ``l3`` and the P rows it
-    was solved with.  The tables must reach genus g; a perturbed table
-    (made with ``dataclasses.replace``) probes what the identity detects.
+    (degree 3, vanishing auxiliary integral); the family fixes the degree.
+    Every family reads the L2 table ``l2``; ``aux`` also reads the L3 table
+    ``l3`` and the P rows it was solved with.  The tables must reach genus
+    g; a perturbed table (made with ``dataclasses.replace``) probes what the
+    identity detects.
     """
     if g < 0:
         raise ValueError("genus must be >= 0")
-    if degree not in _FAMILIES:
-        raise ValueError(f"no locus catalog for degree {degree}")
-    if family not in _FAMILIES[degree]:
-        raise ValueError(f"unknown family {family!r} for degree {degree}")
+    if family not in ("linA", "linB", "J", "aux"):
+        raise ValueError(f"unknown family {family!r}")
     if family == "aux" and l3 is None:
         raise ValueError("the aux family needs the L3 table")
     if l2.gmax < g or (family == "aux" and l3.gmax < g):
@@ -198,25 +193,29 @@ def enumerate_loci(
     return _deg3_aux_terms(g, l2, l3)
 
 
+def _loci_sum(
+    g: int, family: str, l2: HodgeTable, l3: HodgeTable | None = None
+) -> Fraction:
+    """Sum of the coefficients of one family's catalog at genus g."""
+    terms = enumerate_loci(g, family, l2, l3)
+    return sum((t.coefficient for t in terms), Fraction(0))
+
+
 def deg2_linA(g: int, l2: HodgeTable) -> Fraction:
     """One-point degree-2 integral under linearization A: -L2(g)/2."""
-    terms = enumerate_loci(2, g, "linA", l2=l2)
-    return sum((t.coefficient for t in terms), Fraction(0))
+    return _loci_sum(g, "linA", l2)
 
 
 def deg2_linB(g: int, l2: HodgeTable) -> Fraction:
     """Same integral under linearization B: the g+1 locus contributions."""
-    terms = enumerate_loci(2, g, "linB", l2=l2)
-    return sum((t.coefficient for t in terms), Fraction(0))
+    return _loci_sum(g, "linB", l2)
 
 
 def deg3_aux_residual(g: int, l2: HodgeTable, l3: HodgeTable) -> Fraction:
     """Total 1/hbar coefficient of the auxiliary integral; must be zero."""
-    terms = enumerate_loci(3, g, "aux", l2=l2, l3=l3)
-    return sum((t.coefficient for t in terms), Fraction(0))
+    return _loci_sum(g, "aux", l2, l3)
 
 
 def j2_from_loci(g: int, l2: HodgeTable) -> Fraction:
     """J2(g) as the sum over the two-point fixed-locus catalog."""
-    terms = enumerate_loci(2, g, "J", l2=l2)
-    return sum((t.coefficient for t in terms), Fraction(0))
+    return _loci_sum(g, "J", l2)

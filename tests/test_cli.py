@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from admcalc import cli, hodge
+from admcalc import cli, hodge, localization
 from admcalc.cli import OutputRecord, run
 
 
@@ -286,18 +286,22 @@ def test_verify_reports_failure(capsys, monkeypatch):
     assert "rel2: fail" in out
 
 
-def test_verify_aspinwall_reads_the_j3_rows(capsys, monkeypatch):
+@pytest.mark.parametrize("d, g", [(3, 2), (2, 0), (3, 0)])
+def test_verify_aspinwall_reads_the_j3_rows(capsys, monkeypatch, d, g):
     # A wrong degree-3 convolution summand changes what `table --what J3`
     # prints; the aspinwall suite must see it in the J3 series it compares.
+    # A wrong degree-2 summand must show in the J2 loci, which import the
+    # same convolution; genus 0 is the first step of both comparisons.
     j_terms = hodge._j_terms
 
-    def wrong(d, g, I):
-        terms = j_terms(d, g, I)
-        if d == 3 and g == 2:
-            terms[1] += 1
+    def wrong(d_, g_, I):
+        terms = j_terms(d_, g_, I)
+        if (d_, g_) == (d, g):
+            terms[min(g, 1)] += 1
         return terms
 
     monkeypatch.setattr(hodge, "_j_terms", wrong)
+    monkeypatch.setattr(localization, "_j_terms", wrong)
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "aspinwall", "--gmax", "4", "--order", "11"
     )

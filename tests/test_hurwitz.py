@@ -118,12 +118,21 @@ def test_class_images_match_the_scan(d):
         assert set(built) == members
 
 
-def test_class_images_keep_their_own_stack():
-    # Fixed points tried first put one open cycle per point on the stack;
-    # 1199 of them would overflow the interpreter's recursion limit.
+def test_class_images_skip_fixed_points():
+    # The moved points are chosen first: the 1198 fixed points open no frame
+    # each, so the first member comes from one cycle on the least two points.
     parts = (1,) * 1198 + (2,)
     (first,) = islice(_class_images(1200, parts), 1)
-    assert first == tuple(range(1198)) + (1199, 1198)
+    assert first == (1, 0) + tuple(range(2, 1200))
+
+
+def test_class_too_deep_to_build_is_refused():
+    # (2^1000) in S_2000 needs one recursion level per transposition, past the
+    # interpreter's stack; the count ends in the bound error at the first
+    # member instead of building any of its ~10^2866 elements.
+    deep = profile(2000, (2,) * 1000, (2,) * 1000)
+    with pytest.raises(EnumerationBoundError, match="1000 non-trivial cycles"):
+        hurwitz_count(deep, max_tuples=10**4000)
 
 
 # -- counting: frozen examples ---------------------------------------------
@@ -229,6 +238,53 @@ def test_enumeration_bound():
     with pytest.raises(EnumerationBoundError):
         hurwitz_count(big, max_tuples=26)
     assert hurwitz_count(big, max_tuples=27) == 4
+
+
+# -- closed forms beyond degree 3 ------------------------------------------
+
+
+def sinhc_power_coeff(k, power):
+    """[t^(2k)] (sinh(t/2)/(t/2))^power, by plain Fraction polynomial products."""
+    base = [Fraction(1, 4**j * math.factorial(2 * j + 1)) for j in range(k + 1)]
+    out = [Fraction(1)] + [Fraction(0)] * k
+    for _ in range(power):
+        out = [sum(out[i] * base[j - i] for i in range(j + 1)) for j in range(k + 1)]
+    return out[k]
+
+
+def one_part_hurwitz(d, g):
+    """One d-cycle and r = 2g+d-1 simple points (Shapiro-Shapiro-Vainshtein;
+    Goulden-Jackson-Vakil)."""
+    r = 2 * g + d - 1
+    scale = Fraction(math.factorial(r) * d ** (r - 1), math.factorial(d))
+    return scale * sinhc_power_coeff(g, d - 1)
+
+
+def test_one_part_closed_form_pins():
+    assert [one_part_hurwitz(2, g) for g in range(3)] == [Fraction(1, 2)] * 3
+    assert [one_part_hurwitz(3, g) for g in range(3)] == [1, 9, 81]
+    assert [one_part_hurwitz(4, g) for g in range(3)] == [4, 160, 5824]
+    assert [one_part_hurwitz(5, g) for g in range(3)] == [25, 3125, 328125]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("g", [0, 1, 2])
+def test_one_part_counts_match_closed_form(d, g):
+    simple = (2,) + (1,) * (d - 2)
+    types = [(d,)] + [simple] * (2 * g + d - 1)
+    got = hurwitz_count(profile(d, *types), max_tuples=10**20)
+    assert got == one_part_hurwitz(d, g)
+
+
+@pytest.mark.parametrize(
+    "d, expected", [(2, Fraction(1, 2)), (3, 4), (4, 120), (5, 8400)]
+)
+def test_genus_zero_simple_counts_match_hurwitz_formula(d, expected):
+    # Hurwitz: (2d-2)! d^(d-3) / d! covers with 2d-2 simple branch points.
+    closed = Fraction(math.factorial(2 * d - 2)) * Fraction(d) ** (d - 3)
+    assert closed / math.factorial(d) == expected
+    simple = (2,) + (1,) * (d - 2)
+    assert hurwitz_count(profile(d, *([simple] * (2 * d - 2)))) == expected
 
 
 # -- the three cover families ----------------------------------------------

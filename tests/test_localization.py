@@ -37,10 +37,10 @@ def test_linearizations_agree():
 
 def test_term_counts():
     for g in (0, 1, 2, 4, 7):
-        assert len(enumerate_loci(2, g, "linA", T2)) == 1
-        assert len(enumerate_loci(2, g, "linB", T2)) == g + 1
-        assert len(enumerate_loci(3, g, "aux", T2, T3)) == 2 * g + 2
-        assert len(enumerate_loci(2, g, "J", T2)) == max(g + 1, 1)
+        assert len(enumerate_loci(g, "linA", T2)) == 1
+        assert len(enumerate_loci(g, "linB", T2)) == g + 1
+        assert len(enumerate_loci(g, "aux", T2, T3)) == 2 * g + 2
+        assert len(enumerate_loci(g, "J", T2)) == max(g + 1, 1)
 
 
 def test_genera_sum_to_ambient_genus():
@@ -48,7 +48,7 @@ def test_genera_sum_to_ambient_genus():
     t3 = l3_table(t2)
     for g in range(7):
         for family, degree in (("linA", 2), ("linB", 2), ("J", 2), ("aux", 3)):
-            for term in enumerate_loci(degree, g, family, l2=t2, l3=t3):
+            for term in enumerate_loci(g, family, l2=t2, l3=t3):
                 assert all(part >= 0 for part in term.genera)
                 assert sum(term.genera) == g
                 assert term.degree == degree
@@ -57,12 +57,12 @@ def test_genera_sum_to_ambient_genus():
 def test_aux_terms_carry_inverse_hbar():
     for g in (0, 1, 3, 6):
         assert all(
-            t.hbar_exponent == -1 for t in enumerate_loci(3, g, "aux", T2, T3)
+            t.hbar_exponent == -1 for t in enumerate_loci(g, "aux", T2, T3)
         )
     for g in (0, 2):
         for family in ("linA", "linB", "J"):
             assert all(
-                t.hbar_exponent == 0 for t in enumerate_loci(2, g, family, T2)
+                t.hbar_exponent == 0 for t in enumerate_loci(g, family, T2)
             )
 
 
@@ -75,7 +75,7 @@ def test_aux_residual_vanishes():
 
 def test_aux_residual_spot_structure():
     # g = 0: the relation collapses to -2 L3(0) + 2 = 0.
-    terms = enumerate_loci(3, 0, "aux", T2, T3)
+    terms = enumerate_loci(0, "aux", T2, T3)
     assert sorted(t.coefficient for t in terms) == [-2, 2]
 
 
@@ -123,35 +123,35 @@ def test_perturbed_l2_breaks_linearizations_and_j(k):
 
 
 def test_locus_kind_coverage():
-    kinds = {t.kind for t in enumerate_loci(2, 3, "linA", T2)}
-    kinds |= {t.kind for t in enumerate_loci(2, 3, "linB", T2)}
-    kinds |= {t.kind for t in enumerate_loci(3, 3, "aux", T2, T3)}
-    kinds |= {t.kind for t in enumerate_loci(2, 3, "J", T2)}
+    kinds = {t.kind for t in enumerate_loci(3, "linA", T2)}
+    kinds |= {t.kind for t in enumerate_loci(3, "linB", T2)}
+    kinds |= {t.kind for t in enumerate_loci(3, "aux", T2, T3)}
+    kinds |= {t.kind for t in enumerate_loci(3, "J", T2)}
     assert kinds == set(LocusKind)
 
 
 def test_signs_at_unit_split():
     # Each split-type locus with genera (1, 1) has a pinned sign and value.
-    def split_coeff(degree, family, kind):
+    def split_coeff(family, kind):
         matches = [
             t
-            for t in enumerate_loci(degree, 2, family, T2, T3)
+            for t in enumerate_loci(2, family, T2, T3)
             if t.kind is kind and t.genera == (1, 1)
         ]
         assert len(matches) == 1
         return matches[0].coefficient
 
-    assert split_coeff(2, "linB", LocusKind.DEG2_B_SPLIT) == F(5, 4)
-    assert split_coeff(3, "aux", LocusKind.AUX_SPLIT) == 630
-    assert split_coeff(3, "aux", LocusKind.AUX_SPLIT_NODE) == -210
-    assert split_coeff(2, "J", LocusKind.J_SPLIT) == F(5, 8)
+    assert split_coeff("linB", LocusKind.DEG2_B_SPLIT) == F(5, 4)
+    assert split_coeff("aux", LocusKind.AUX_SPLIT) == 630
+    assert split_coeff("aux", LocusKind.AUX_SPLIT_NODE) == -210
+    assert split_coeff("J", LocusKind.J_SPLIT) == F(5, 8)
 
 
 def test_j_end_terms_fold_the_seed():
     # Both single-sided J loci reduce to (1/4)(2g+2) L2(g).
     t2 = l2_table(3)
     for g in (1, 2, 3):
-        terms = enumerate_loci(2, g, "J", l2=t2)
+        terms = enumerate_loci(g, "J", l2=t2)
         ends = [
             t.coefficient
             for t in terms
@@ -161,7 +161,7 @@ def test_j_end_terms_fold_the_seed():
 
 
 def test_j_at_genus_zero_single_locus():
-    terms = enumerate_loci(2, 0, "J", T2)
+    terms = enumerate_loci(0, "J", T2)
     assert len(terms) == 1
     assert terms[0].coefficient == F(1, 4)
 
@@ -178,25 +178,21 @@ def test_j2_matches_tangent_square():
 
 
 def test_family_validation():
+    with pytest.raises(ValueError, match="unknown family"):
+        enumerate_loci(1, "linC", T2, T3)
     with pytest.raises(ValueError):
-        enumerate_loci(2, 1, "aux", T2, T3)
-    with pytest.raises(ValueError):
-        enumerate_loci(3, 1, "linA", T2, T3)
-    with pytest.raises(ValueError):
-        enumerate_loci(4, 1, "aux", T2, T3)
-    with pytest.raises(ValueError):
-        enumerate_loci(2, -1, "J", T2)
+        enumerate_loci(-1, "J", T2)
 
 
 def test_aux_needs_the_l3_table():
     with pytest.raises(ValueError, match="L3"):
-        enumerate_loci(3, 1, "aux", T2)
+        enumerate_loci(1, "aux", T2)
 
 
 @pytest.mark.parametrize("family, degree", [("linA", 2), ("linB", 2), ("J", 2), ("aux", 3)])
 def test_tables_must_reach_the_genus(family, degree):
     with pytest.raises(ValueError, match="reach genus 4"):
-        enumerate_loci(degree, 4, family, l2_table(3), l3_table(l2_table(4)))
-    if family == "aux":
+        enumerate_loci(4, family, l2_table(3), l3_table(l2_table(4)))
+    if degree == 3:  # only the aux family reads the L3 table
         with pytest.raises(ValueError, match="reach genus 4"):
-            enumerate_loci(degree, 4, family, l2_table(4), l3_table(l2_table(3)))
+            enumerate_loci(4, family, l2_table(4), l3_table(l2_table(3)))
