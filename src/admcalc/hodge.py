@@ -200,9 +200,9 @@ def l_series(table: HodgeTable, order: int) -> TruncatedSeries:
     return _row_series(table, table.L, 0, order)
 
 
-def _table_for_order(degree: int, order: int) -> HodgeTable:
-    """The table whose rows fill a row series truncated at ``order``."""
-    l2 = l2_table(_genus_for_order(degree, order))
+def _table(degree: int, gmax: int) -> HodgeTable:
+    """The degree's table to genus gmax; L3 is solved from L2 of the same genus."""
+    l2 = l2_table(gmax)
     return l2 if degree == 2 else l3_table(l2)
 
 

@@ -221,9 +221,9 @@ def hurwitz_count(
     for parts in types[:-1]:
         raw *= _class_size(d, parts)
     if raw > max_tuples:
-        raise EnumerationBoundError(
-            f"search space {raw} exceeds the bound {max_tuples}"
-        )
+        # The product is not shown: at large degrees it has millions of
+        # decimal digits, and writing them out takes seconds.
+        raise EnumerationBoundError(f"search space exceeds the bound {max_tuples}")
     if d == 1:
         # S_1 is trivial: one tuple of identities, transitive on one sheet.
         # (The fold needs d >= 2: itemgetter of one index is no tuple.)

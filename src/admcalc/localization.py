@@ -78,18 +78,14 @@ class FixedLocusTerm:
 
 def _deg2_linA_terms(g: int, l2: HodgeTable) -> list[FixedLocusTerm]:
     # Single locus: genus-g component over 0, its lambda-lambda-psi sum
-    # giving L2(g), with overall weight -1/2.
-    return [
-        FixedLocusTerm(2, LocusKind.DEG2_A_MAIN, (g,), -l2.L[g] / 2, 0)
-    ]
+    # giving L2(g), with overall weight -1/2: the table's I2(g).
+    return [FixedLocusTerm(2, LocusKind.DEG2_A_MAIN, (g,), l2.I[g], 0)]
 
 
 def _deg2_linB_terms(g: int, l2: HodgeTable) -> list[FixedLocusTerm]:
     terms = [
         # 2g+1 copies of the space with the genus on the far side.
-        FixedLocusTerm(
-            2, LocusKind.DEG2_B_INFTY, (g,), -Fraction(2 * g + 1, 2) * l2.L[g], 0
-        )
+        FixedLocusTerm(2, LocusKind.DEG2_B_INFTY, (g,), (2 * g + 1) * l2.I[g], 0)
     ]
     # Genus split g1 = g-i over 0 (psi-power side, count P2) and i over
     # infinity (L-side); 2i of the 2g+1 free branch points go to the L side.

@@ -2,10 +2,11 @@
 
 Every coefficient is a ``fractions.Fraction``; no value ever passes through
 floating point.  Products and quotients of two series sum integer numerators
-over a common denominator and build one ``Fraction`` per coefficient.  A series carries its truncation order N (the largest tracked
-exponent), and each operation states the order of its result.  Binary
-operations insist on equal orders, so order bookkeeping mistakes surface as
-errors instead of silently wrong tails.
+over a common denominator and build one ``Fraction`` per coefficient.  A
+series carries its truncation order N (the largest tracked exponent), and
+each operation states the order of its result.  Binary operations insist on
+equal orders, so order bookkeeping mistakes surface as errors instead of
+silently wrong tails.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -308,6 +309,28 @@ def test_verify_aspinwall_reads_the_j3_rows(capsys, monkeypatch, d, g):
     assert (code, out) == (1, "aspinwall: fail\n")
 
 
+@pytest.mark.parametrize("suite, builder", [("rel2", "l2_table"), ("lab", "l3_table")])
+@pytest.mark.parametrize("row, verdict", [(4, "fail"), (5, "pass")])
+def test_verify_series_suites_read_rows_up_to_gmax(
+    capsys, monkeypatch, suite, builder, row, verdict
+):
+    # The table reaches --order + 1 (genus 10 at order 21), past --gmax 4;
+    # the suite compares its rows 0..4 with the closed form and no further.
+    solve = getattr(hodge, builder)
+
+    def bumped(arg):
+        table = solve(arg)
+        L = list(table.L)
+        L[row] += 1
+        return dataclasses.replace(table, L=L)
+
+    monkeypatch.setattr(hodge, builder, bumped)
+    # lab's vanishing half would see row 4 too; the closed form alone decides.
+    monkeypatch.setattr(localization, "deg3_aux_residual", lambda g, l2, l3: 0)
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--gmax", "4")
+    assert (code, out) == ({"pass": 0, "fail": 1}[verdict], f"{suite}: {verdict}\n")
+
+
 def test_verify_hurwitz_range_follows_the_bound(capsys, monkeypatch):
     # Each family runs to --gmax unless the enumeration bound refuses a genus
     # first; p2's raw tuple count is 1 at every genus, so it is never refused.
@@ -419,6 +442,15 @@ def test_hurwitz_bound_flag_and_env(capsys):
     assert code == 2 and "exceeds" in err
     code, out, _ = run_cli(capsys, *args, "--max-tuples", "27")
     assert code == 0 and out.strip() == "4"
+
+
+def test_hurwitz_refusal_names_only_the_bound(capsys):
+    # The refused product of two 30000-cycle classes has about 121,000 digits.
+    args = ["hurwitz", "--degree", "30000"] + ["--profile", "30000"] * 2
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert "exceeds the bound" in err
 
 
 def test_hurwitz_many_branch_points(capsys):

@@ -43,3 +43,21 @@ def test_traced_benchmark_installs():
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["verify", "--suite", "rel2", "--gmax", "2"], 0, "rel2: pass\n"),
+        (["hurwitz", "--degree", "3", "--profile", "x"], 2, ""),
+    ],
+)
+def test_cli_module_runs_as_a_script(argv, code, out):
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "admcalc.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (code, out), result.stderr
