@@ -15,6 +15,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NoReturn
 
 from . import hodge, localization
 from .hurwitz import (
@@ -116,39 +117,15 @@ def _usage_error(message: str) -> int:
 
 # -- verification suites ---------------------------------------------------
 #
-# Each suite returns True on success.  It reads its tables from the getter
-# of one ``verify`` invocation: ``tables(degree, gmax)`` in the genus-range
-# suites, ``tables(degree)``, which reaches --order + 1, in the series suites.
+# Each suite returns True on success.  It reads its tables from the
+# ``hodge.table_source`` of one ``verify`` invocation, which reaches
+# --order + 1: ``tables(degree, gmax)`` in the genus-range suites,
+# ``tables(degree)`` in the series suites.
 # The Hurwitz suite runs each family from genus 0 up to --gmax and stops it
 # at the first genus the enumeration bound refuses: the raw tuple count
 # grows with the genus, so every later genus would be refused too.
 
 TableGetter = Callable[..., hodge.HodgeTable]
-
-
-def _table_getter(order: int) -> TableGetter:
-    """The table source of one ``verify`` invocation at the given --order.
-
-    A degree's table is solved when a suite first asks for it, at the asked
-    genus or the reach of order + 1 if larger; the degree-3 table is solved
-    from this getter's degree-2 table and takes its genus.  It is solved
-    again only for a genus beyond it; rows are prefix-stable, so a larger
-    table serves a smaller request unchanged.
-    """
-    solved: dict[int, hodge.HodgeTable] = {}
-
-    def tables(degree: int, gmax: int = 0) -> hodge.HodgeTable:
-        table = solved.get(degree)
-        if table is None or table.gmax < gmax:
-            gmax = max(gmax, hodge._genus_for_order(degree, order + 1))
-            table = (
-                hodge.l2_table(gmax) if degree == 2
-                else hodge.l3_table(tables(2, gmax))
-            )
-            solved[degree] = table
-        return table
-
-    return tables
 
 
 def _suite_rel2(gmax: int, order: int, tables: TableGetter) -> bool:
@@ -271,7 +248,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         if d not in (2, 3):
             return _usage_error(f"--what {args.what} needs degree 2 or 3")
         rows = {"I": hodge.i_series, "J": hodge.j_series, "L": hodge.l_series}
-        s = rows[args.what](hodge._table(d, hodge._genus_for_order(d, n)), n)
+        s = rows[args.what](hodge.table_source(n)(d), n)
         records.append(
             OutputRecord("series", args.what, degree=d, order=n,
                          payload=_series_payload(s))
@@ -299,7 +276,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if what in _P_CLOSED:
         row = [_P_CLOSED[what](g) for g in range(gmax + 1)]
     else:
-        row = getattr(hodge._table(degree, gmax), what[0])
+        row = getattr(hodge.table_source(0)(degree, gmax), what[0])
     record = OutputRecord(
         "table", what, degree=degree, gmax=gmax, payload=_table_payload(row)
     )
@@ -312,13 +289,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.order < 2:
         return _usage_error("order must be >= 2")
     names = list(_SUITES) if args.suite is None else [args.suite]
-    tables = _table_getter(args.order)
+    tables = hodge.table_source(args.order + 1)
     failed = False
     for name in names:
         ok = _SUITES[name](args.gmax, args.order, tables)
         print(f"{name}: {'pass' if ok else 'fail'}")
         failed = failed or not ok
     return 1 if failed else 0
+
+
+# The largest --gmax or --order.  It bounds the memory of one request, not
+# its time: at 5000, ``series --what P`` peaks at about 150 MB.
+_MAX_SIZE = 5000
+
+
+def _parse_size(text: str) -> int:
+    """The ``--gmax``/``--order`` type: an int no larger than ``_MAX_SIZE``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > _MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"must be <= {_MAX_SIZE}")
+    return value
 
 
 def _parse_profile(text: str) -> CycleType:
@@ -343,13 +336,20 @@ def _cmd_hurwitz(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, its subcommands' too, whose usage errors take one line."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
 def _add_format_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--output", metavar="PATH", default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="admcalc",
         description="Exact intersection-number tables and series for "
         "low-degree branched covers, with cross-verification suites.",
@@ -358,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     series = commands.add_parser("series", help="emit one generating function")
     series.add_argument("--degree", type=int, required=True)
-    series.add_argument("--order", type=int, default=21)
+    series.add_argument("--order", type=_parse_size, default=21)
     series.add_argument(
         "--what", choices=("I", "J", "L", "P", "conjecture"), default="I"
     )
@@ -367,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     table = commands.add_parser("table", help="emit a genus-indexed table")
     table.add_argument("--what", choices=sorted(_TABLE_WHAT), required=True)
-    table.add_argument("--gmax", type=int, default=10)
+    table.add_argument("--gmax", type=_parse_size, default=10)
     _add_format_flags(table)
     table.set_defaults(func=_cmd_table)
 
@@ -375,8 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group = verify.add_mutually_exclusive_group()
     group.add_argument("--all", action="store_true", dest="run_all")
     group.add_argument("--suite", choices=sorted(_SUITES), default=None)
-    verify.add_argument("--gmax", type=int, default=10)
-    verify.add_argument("--order", type=int, default=21)
+    verify.add_argument("--gmax", type=_parse_size, default=10)
+    verify.add_argument("--order", type=_parse_size, default=21)
     verify.set_defaults(func=_cmd_verify)
 
     hurwitz = commands.add_parser("hurwitz", help="count monodromy tuples")

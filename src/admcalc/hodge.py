@@ -20,6 +20,7 @@ closed form covers both degrees (and conjecturally all d >= 1):
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,6 +35,7 @@ __all__ = [
     "p3_trans_closed",
     "l2_table",
     "l3_table",
+    "table_source",
     "l_series",
     "closed_form_L2",
     "closed_form_L3",
@@ -200,10 +202,29 @@ def l_series(table: HodgeTable, order: int) -> TruncatedSeries:
     return _row_series(table, table.L, 0, order)
 
 
-def _table(degree: int, gmax: int) -> HodgeTable:
-    """The degree's table to genus gmax; L3 is solved from L2 of the same genus."""
-    l2 = l2_table(gmax)
-    return l2 if degree == 2 else l3_table(l2)
+def table_source(order: int) -> Callable[..., HodgeTable]:
+    """The one source of tables for a request whose series reach ``order``.
+
+    ``tables(degree, gmax=0)`` returns the degree's table to at least the
+    larger of ``gmax`` and the genus its L row needs to fill ``order``.  A
+    table solved earlier serves while it reaches that far, since rows are
+    prefix-stable.  Otherwise L2 is solved at that genus unless the source's
+    L2 already reaches it, and L3 is solved from the source's L2, so it
+    takes L2's genus.
+    """
+    solved: dict[int, HodgeTable] = {}
+
+    def tables(degree: int, gmax: int = 0) -> HodgeTable:
+        reach = max(gmax, _genus_for_order(degree, order))
+        table = solved.get(degree)
+        if table is None or table.gmax < reach:
+            l2 = solved.get(2)
+            if l2 is None or l2.gmax < reach:
+                l2 = solved[2] = l2_table(reach)
+            table = solved[degree] = l2 if degree == 2 else l3_table(l2)
+        return table
+
+    return tables
 
 
 def closed_form_L2(N: int) -> TruncatedSeries:

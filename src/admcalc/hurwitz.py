@@ -209,21 +209,22 @@ def hurwitz_count(
     d = profile.degree
     types = [t.parts for t in profile.profiles]
     n = len(types)
-    weight = Fraction(1, math.factorial(d))
 
     if n == 0:
         # The empty tuple generates the trivial group: connected only for d=1.
         if connected and d > 1:
             return Fraction(0)
-        return weight
+        return Fraction(1, math.factorial(d))
 
-    raw = 1
-    for parts in types[:-1]:
-        raw *= _class_size(d, parts)
+    # Each distinct class size is formed once, and 1/d! only past the bound:
+    # at large degrees every factorial(d) takes seconds.
+    sizes = {parts: _class_size(d, parts) for parts in set(types[:-1])}
+    raw = math.prod(sizes[parts] for parts in types[:-1])
     if raw > max_tuples:
         # The product is not shown: at large degrees it has millions of
         # decimal digits, and writing them out takes seconds.
         raise EnumerationBoundError(f"search space exceeds the bound {max_tuples}")
+    weight = Fraction(1, math.factorial(d))
     if d == 1:
         # S_1 is trivial: one tuple of identities, transitive on one sheet.
         # (The fold needs d >= 2: itemgetter of one index is no tuple.)

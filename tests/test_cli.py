@@ -212,6 +212,23 @@ def test_conjecture_outputs_match_the_benchmark_records(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_other_table_and_series_outputs_match_the_benchmark_records(capsys):
+    # The json-format records of the families the two tests above leave out:
+    # tables L2, L3, I3, P3full and P3trans, and the I and L series.
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    outputs = json.loads(reference.read_text(encoding="utf-8"))["outputs"]
+    requests = {
+        argv: digest for argv, digest in outputs.items()
+        if argv.split()[0] in ("table", "series") and "--format json" in argv
+        and "--what J" not in argv and "--what conjecture" not in argv
+    }
+    assert len(requests) == 27
+    for argv, digest in requests.items():
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -453,6 +470,22 @@ def test_hurwitz_refusal_names_only_the_bound(capsys):
     assert "exceeds the bound" in err
 
 
+def test_hurwitz_catalog_matches_the_benchmark_records(capsys):
+    # Every Hurwitz request the benchmark can draw, refused ones included.
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    catalog = json.loads(reference.read_text(encoding="utf-8"))["hurwitz_catalog"]
+    entries = [entry for stratum in catalog.values() for entry in stratum]
+    assert len(entries) == 96
+    for entry in entries:
+        argv = ["hurwitz", "--degree", str(entry["degree"])]
+        for parts in entry["profiles"]:
+            argv += ["--profile", ",".join(map(str, parts))]
+        if not entry["connected"]:
+            argv.append("--disconnected")
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (entry["exit"], entry["stdout"]), argv
+
+
 def test_hurwitz_many_branch_points(capsys):
     args = ["hurwitz", "--degree", "2"] + ["--profile", "2"] * 1200
     code, out, _ = run_cli(capsys, *args)
@@ -466,6 +499,44 @@ def test_unknown_subcommand_and_flag(capsys):
     assert run_cli(capsys, "bogus")[0] == 2
     assert run_cli(capsys, "series", "--degree", "2", "--bogus")[0] == 2
     assert run_cli(capsys)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--what", "X"],
+        ["series", "--degree", "x"],
+        ["series"],
+        ["verify", "--all", "--suite", "rel2"],
+        [],
+    ],
+    ids=lambda argv: " ".join(argv) or "no subcommand",
+)
+def test_usage_errors_take_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("admcalc") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_size_ceiling_admits_5000(capsys):
+    code, out, _ = run_cli(capsys, "table", "--what", "P2", "--gmax", "5000")
+    assert code == 0 and out.endswith("g=5000: 1/2\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--what", "P2", "--gmax", "5001"],
+        ["series", "--what", "conjecture", "--degree", "2", "--order", str(10**22)],
+        ["series", "--what", "P", "--degree", "3", "--order", str(10**22)],
+        ["verify", "--suite", "conjecture", "--order", str(10**22)],
+    ],
+    ids=lambda argv: " ".join(argv[:-1]),
+)
+def test_sizes_above_the_ceiling_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "must be <= 5000" in err
 
 
 def test_help_exits_zero(capsys):

@@ -240,6 +240,21 @@ def test_enumeration_bound():
     assert hurwitz_count(big, max_tuples=27) == 4
 
 
+def test_refusal_forms_one_factorial_of_the_degree(monkeypatch):
+    # Three equal classes: one class size is formed, and no 1/d! weight.
+    formed = []
+    factorial = math.factorial
+
+    def spy(n):
+        formed.append(n)
+        return factorial(n)
+
+    monkeypatch.setattr(math, "factorial", spy)
+    with pytest.raises(EnumerationBoundError, match="exceeds the bound 10$"):
+        hurwitz_count(profile(50, (50,), (50,), (50,)), max_tuples=10)
+    assert formed.count(50) == 1
+
+
 # -- closed forms beyond degree 3 ------------------------------------------
 
 
