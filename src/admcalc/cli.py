@@ -15,6 +15,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import NoReturn
 
 from . import hodge, localization
@@ -28,7 +29,7 @@ from .hurwitz import (
     p3_full,
     p3_trans,
 )
-from .series import TruncatedSeries, div, egf_value, sin_scaled
+from .series import TruncatedSeries, egf_value
 
 __all__ = ["OutputRecord", "run", "main"]
 
@@ -190,19 +191,15 @@ def _suite_linearizations(gmax: int, order: int, tables: TableGetter) -> bool:
 
 
 def _suite_aspinwall(gmax: int, order: int, tables: TableGetter) -> bool:
+    # The locus route to J2, and the J3 row, against the closed form d * I_d^2.
     n = max(order, 4)
     t2 = tables(2, gmax)
     t3 = tables(3)  # it reaches --order + 1; J3 row g sits at x^(2g+4)
-    # Locus route against the tangent-squared closed form.
-    tan_sq = hodge.closed_form_L2(2 * gmax + 2) ** 2
+    j2 = hodge.closed_form_J(2, 2 * gmax + 2)
     for g in range(gmax + 1):
-        expected = egf_value(tan_sq, 2 * g + 2) / 2
-        if localization.j2_from_loci(g, l2=t2) != expected:
+        if localization.j2_from_loci(g, l2=t2) != egf_value(j2, 2 * g + 2):
             return False
-    # Degree-3 square identity against its trigonometric closed form.
-    numerator = Fraction(16, 3) * sin_scaled(Fraction(1, 2), n + 2) ** 6
-    denominator = sin_scaled(Fraction(3, 2), n + 2) ** 2
-    return hodge.j_series(t3, n) == div(numerator, denominator)
+    return hodge.j_series(t3, n) == hodge.closed_form_J(3, n)
 
 
 _SUITES = {
@@ -301,16 +298,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # The largest --gmax or --order.  It bounds the memory of one request, not
 # its time: at 5000, ``series --what P`` peaks at about 150 MB.
 _MAX_SIZE = 5000
+# The largest hurwitz --degree: every count forms d!, seconds long at 10^6.
+_MAX_DEGREE = 100000
 
 
-def _parse_size(text: str) -> int:
-    """The ``--gmax``/``--order`` type: an int no larger than ``_MAX_SIZE``."""
+def _parse_size(text: str, ceiling: int = _MAX_SIZE) -> int:
+    """An int no larger than ``ceiling``: the ``--gmax``/``--order`` type, and
+    with ``ceiling=_MAX_DEGREE`` the ``hurwitz --degree`` type."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value > _MAX_SIZE:
-        raise argparse.ArgumentTypeError(f"must be <= {_MAX_SIZE}")
+    if value > ceiling:
+        raise argparse.ArgumentTypeError(f"must be <= {ceiling}")
     return value
 
 
@@ -380,7 +380,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     hurwitz = commands.add_parser("hurwitz", help="count monodromy tuples")
-    hurwitz.add_argument("--degree", type=int, required=True)
+    hurwitz.add_argument(
+        "--degree", type=partial(_parse_size, ceiling=_MAX_DEGREE), required=True
+    )
     hurwitz.add_argument(
         "--profile", action="append", required=True, type=_parse_profile,
         help="comma-separated cycle lengths; repeat once per branch point",

@@ -16,6 +16,9 @@ two-point invariants satisfy the square identity J_d = d * I_d^2.  A single
 closed form covers both degrees (and conjecturally all d >= 1):
 
       I_d(x) = (-1)^(d-1) (1/d) (2 sin(x/2))^d / (2 sin(dx/2)).
+
+It is the only closed form computed here; the L and J closed forms are its
+scalings and squares, and a test checks the proven spellings above against it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import comb
 
 from .series import TruncatedSeries, cos_scaled, div, egf_value, sin_scaled
 
@@ -39,6 +42,7 @@ __all__ = [
     "l_series",
     "closed_form_L2",
     "closed_form_L3",
+    "closed_form_J",
     "conjecture_series",
     "i_series",
     "j_series",
@@ -48,6 +52,9 @@ __all__ = [
     "ode_residual_deg2",
     "ode_residual_deg3",
 ]
+
+
+_I_PER_L = {2: Fraction(-1, 2), 3: Fraction(2, 9)}  # I_d = _I_PER_L[d] * L_d
 
 
 @dataclass(frozen=True)
@@ -71,8 +78,7 @@ class HodgeTable:
     @cached_property
     def I(self) -> list[Fraction]:
         """I2 = -L2/2 and I3 = (2/9) L3."""
-        scale = Fraction(-1, 2) if self.degree == 2 else Fraction(2, 9)
-        return [scale * value for value in self.L]
+        return [_I_PER_L[self.degree] * value for value in self.L]
 
     @cached_property
     def J(self) -> list[Fraction]:
@@ -227,26 +233,6 @@ def table_source(order: int) -> Callable[..., HodgeTable]:
     return tables
 
 
-def closed_form_L2(N: int) -> TruncatedSeries:
-    """tan(x/2) to order N, computed as sin(x/2)/cos(x/2)."""
-    if N < 1:
-        raise ValueError("order must be >= 1")
-    return div(sin_scaled(Fraction(1, 2), N), cos_scaled(Fraction(1, 2), N))
-
-
-def closed_form_L3(N: int) -> TruncatedSeries:
-    """(9/2)(1/(1+2 cos x) - 1/3) to order N.
-
-    The denominator 1 + 2 cos x has constant term 3, so plain unit division
-    applies; the equivalent 4 cos^2(x/2) - 1 form would give the same series.
-    """
-    if N < 1:
-        raise ValueError("order must be >= 1")
-    one = TruncatedSeries.one(N)
-    inv = div(one, 2 * cos_scaled(1, N) + 1)
-    return Fraction(9, 2) * (inv - Fraction(1, 3))
-
-
 def conjecture_series(d: int, N: int) -> TruncatedSeries:
     """(-1)^(d-1) (1/d) (2 sin(x/2))^d / (2 sin(dx/2)) to order N.
 
@@ -263,6 +249,21 @@ def conjecture_series(d: int, N: int) -> TruncatedSeries:
     denominator = 2 * sin_scaled(Fraction(d, 2), work)
     sign = (-1) ** (d - 1)
     return div(numerator, denominator) * Fraction(sign, d)
+
+
+def closed_form_L2(N: int) -> TruncatedSeries:
+    """-2 I_2(x) to order N: the EGF of L2."""
+    return conjecture_series(2, N) / _I_PER_L[2]
+
+
+def closed_form_L3(N: int) -> TruncatedSeries:
+    """(9/2) I_3(x) to order N: the EGF of L3."""
+    return conjecture_series(3, N) / _I_PER_L[3]
+
+
+def closed_form_J(d: int, N: int) -> TruncatedSeries:
+    """d * I_d(x)^2 to order N: the EGF of J_d."""
+    return d * conjecture_series(d, N) ** 2
 
 
 def i_series(table: HodgeTable, order: int) -> TruncatedSeries:
@@ -286,17 +287,11 @@ def p3_trans_series(N: int) -> TruncatedSeries:
 
 
 def j_relation_check(g: int) -> bool:
-    """Compare the table's J2(g) with the square 2 * I2^2 taken as a series.
-
-    The table side is the binomial convolution ``_j_terms``; the square side
-    multiplies ``i_series`` by itself.  Both expand the same product, so this
-    checks the convolution's binomials, not an independent route.
-    """
+    """Compare the table's J2(g), the convolution ``_j_terms``, with the
+    coefficient of the closed form ``closed_form_J(2)`` = 2 * I_2(x)^2."""
     if g < 0:
         raise ValueError("genus must be >= 0")
-    table = l2_table(g)
-    base = i_series(table, 2 * g + 2)
-    return table.J[g] == egf_value(2 * base * base, 2 * g + 2)
+    return l2_table(g).J[g] == egf_value(closed_form_J(2, 2 * g + 2), 2 * g + 2)
 
 
 def ode_residual_deg2(l2: HodgeTable, N: int) -> TruncatedSeries:

@@ -470,6 +470,21 @@ def test_hurwitz_refusal_names_only_the_bound(capsys):
     assert "exceeds the bound" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--degree", str(10**22), "--profile", str(10**22)],
+        ["--degree", str(10**22)] + ["--profile", str(10**22)] * 2,
+        ["--degree", "100001", "--profile", "100001"],
+    ],
+    ids=["1e22 one point", "1e22 two points", "100001"],
+)
+def test_hurwitz_degree_above_the_ceiling_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, "hurwitz", *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "must be <= 100000" in err
+
+
 def test_hurwitz_catalog_matches_the_benchmark_records(capsys):
     # Every Hurwitz request the benchmark can draw, refused ones included.
     reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"

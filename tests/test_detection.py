@@ -1,0 +1,118 @@
+"""Which ``verify`` suites catch which fault: a fixed detection matrix.
+
+Each row plants one fault and runs every suite at gmax 6, order 13; the
+set of suites that fail must equal the declared one.  A row fault serves
+perturbed tables through the getter the suites read.  A term fault patches
+one relation's summand function where both ``hodge`` and ``localization``
+read it, and the suites read fresh tables from ``hodge.table_source``.
+``hurwitz`` reads no table, so no fault here reaches it.
+"""
+
+import dataclasses
+
+import pytest
+
+from admcalc import cli, hodge, localization
+
+GMAX, ORDER = 6, 13
+ALL_BUT_HURWITZ = set(cli._SUITES) - {"hurwitz"}
+
+
+def _failing(tables):
+    return {
+        name for name, suite in cli._SUITES.items()
+        if not suite(GMAX, ORDER, tables)
+    }
+
+
+def _bumped(row, index):
+    return [value + (k == index) for k, value in enumerate(row)]
+
+
+def _served(t2, t3):
+    served = {2: t2, 3: t3}
+    return lambda degree, gmax=0: served[degree]
+
+
+def _true_tables():
+    t2 = hodge.l2_table(GMAX)
+    return t2, hodge.l3_table(t2)
+
+
+def _no_fault():
+    return _served(*_true_tables())
+
+
+def _l2_row_true_l3():
+    t2, t3 = _true_tables()
+    return _served(dataclasses.replace(t2, L=_bumped(t2.L, 3)), t3)
+
+
+def _l2_row_solved_l3():
+    t2, _ = _true_tables()
+    bad = dataclasses.replace(t2, L=_bumped(t2.L, 3))
+    return _served(bad, hodge.l3_table(bad))
+
+
+def _l3_row():
+    t2, t3 = _true_tables()
+    return _served(t2, dataclasses.replace(t3, L=_bumped(t3.L, 3)))
+
+
+def _p_full_row():
+    t2, t3 = _true_tables()
+    return _served(t2, dataclasses.replace(t3, P_full=_bumped(t3.P_full, 2)))
+
+
+def _p_trans_row():
+    t2, t3 = _true_tables()
+    return _served(t2, dataclasses.replace(t3, P_trans=_bumped(t3.P_trans, 2)))
+
+
+ROW_FAULTS = [
+    ("none", _no_fault, set()),
+    ("L2 row 3, true L3", _l2_row_true_l3, ALL_BUT_HURWITZ),
+    ("L2 row 3, L3 solved from it", _l2_row_solved_l3, ALL_BUT_HURWITZ - {"ode3"}),
+    ("L3 row 3", _l3_row, {"lab", "ode3", "conjecture", "aspinwall"}),
+    ("P_full row 2", _p_full_row, {"lab"}),
+    ("P_trans row 2", _p_trans_row, {"lab"}),
+]
+
+
+@pytest.mark.parametrize(
+    "make_tables, expected",
+    [row[1:] for row in ROW_FAULTS],
+    ids=[row[0] for row in ROW_FAULTS],
+)
+def test_row_fault_detection(make_tables, expected):
+    assert _failing(make_tables()) == expected
+
+
+def _double_l2_term(terms):
+    return [2 * t if i == 1 else t for i, t in enumerate(terms)]
+
+
+def _double_l3_b(weights):
+    return [(a, 2 * b) if i == 1 else (a, b) for i, (a, b) in enumerate(weights)]
+
+
+TERM_FAULTS = [
+    ("_l2_terms", _double_l2_term,
+     {"rel2", "lab", "ode2", "conjecture", "aspinwall"}),
+    ("_l3_weights", _double_l3_b, {"lab", "ode3", "conjecture", "aspinwall"}),
+    ("_j_terms", _double_l2_term, {"aspinwall"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, fault, expected", TERM_FAULTS, ids=[row[0] for row in TERM_FAULTS]
+)
+def test_term_fault_detection(monkeypatch, name, fault, expected):
+    true_terms = getattr(hodge, name)
+
+    def faulty(*args):
+        return fault(true_terms(*args))
+
+    for module in (hodge, localization):
+        monkeypatch.setattr(module, name, faulty)
+    assert _failing(hodge.table_source(ORDER + 1)) == expected

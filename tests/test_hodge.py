@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from admcalc.hodge import (
+    closed_form_J,
     closed_form_L2,
     closed_form_L3,
     conjecture_series,
@@ -21,7 +22,7 @@ from admcalc.hodge import (
     p3_trans_closed,
     p3_trans_series,
 )
-from admcalc.series import TruncatedSeries, egf_value
+from admcalc.series import TruncatedSeries, cos_scaled, div, egf_value, sin_scaled
 
 F = Fraction
 
@@ -96,6 +97,22 @@ def test_closed_form_L3_leading_terms():
     assert [s.coeff(k) for k in (2, 4, 6)] == [F(1, 2), F(1, 8), F(7, 240)]
     assert s.constant_term == 0
     assert all(s.coeff(k) == 0 for k in range(1, 9, 2))
+
+
+# Orders 2..40, and 150: perfbench's verify-all reaches order 149.
+@pytest.mark.parametrize("N", [*range(2, 41), 150])
+def test_proven_spellings_match_the_closed_form(N):
+    # The trigonometric forms the paper proves for degrees 2 and 3, spelled
+    # out independently of conjecture_series, which the package derives
+    # every L and J closed form from.
+    half = F(1, 2)
+    tan_half = div(sin_scaled(half, N), cos_scaled(half, N))
+    assert tan_half == closed_form_L2(N)
+    inverse = div(TruncatedSeries.one(N), 2 * cos_scaled(1, N) + 1)
+    assert F(9, 2) * (inverse - F(1, 3)) == closed_form_L3(N)
+    j3 = div(F(16, 3) * sin_scaled(half, N + 2) ** 6, sin_scaled(F(3, 2), N + 2) ** 2)
+    assert j3 == closed_form_J(3, N)
+    assert tan_half**2 / 2 == closed_form_J(2, N)
 
 
 @pytest.mark.parametrize("gmax", [0, 1, 5, 12])

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -61,3 +62,20 @@ def test_cli_module_runs_as_a_script(argv, code, out):
         text=True,
     )
     assert (result.returncode, result.stdout) == (code, out), result.stderr
+
+
+def test_package_imports_only_the_standard_library():
+    src = Path(__file__).resolve().parents[1] / "src" / "admcalc"
+    allowed = set(sys.stdlib_module_names) | {"admcalc"}
+    outside = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []
