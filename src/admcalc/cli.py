@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -118,27 +117,26 @@ def _usage_error(message: str) -> int:
 
 # -- verification suites ---------------------------------------------------
 #
-# Each suite returns True on success.  It reads its tables from the
-# ``hodge.table_source`` of one ``verify`` invocation, which reaches
-# --order + 1: ``tables(degree, gmax)`` in the genus-range suites,
-# ``tables(degree)`` in the series suites.
+# Each suite returns True on success.  It reads its tables and closed forms
+# from the ``hodge.TableSource`` of one ``verify`` invocation, whose tables
+# reach --order + 1: ``tables(degree, gmax)`` in the genus-range suites,
+# ``tables(degree)`` in the series suites, and ``tables.closed_form(row,
+# degree, n)`` for the closed forms.
 # The Hurwitz suite runs each family from genus 0 up to --gmax and stops it
 # at the first genus the enumeration bound refuses: the raw tuple count
 # grows with the genus, so every later genus would be refused too.
 
-TableGetter = Callable[..., hodge.HodgeTable]
 
-
-def _suite_rel2(gmax: int, order: int, tables: TableGetter) -> bool:
+def _suite_rel2(gmax: int, order: int, tables: hodge.TableSource) -> bool:
     n = 2 * gmax + 1  # L2 row gmax sits at x^(2 gmax + 1)
-    return hodge.l_series(tables(2, gmax), n) == hodge.closed_form_L2(n)
+    return hodge.l_series(tables(2, gmax), n) == tables.closed_form("L", 2, n)
 
 
-def _suite_lab(gmax: int, order: int, tables: TableGetter) -> bool:
+def _suite_lab(gmax: int, order: int, tables: hodge.TableSource) -> bool:
     t2 = tables(2, gmax)
     t3 = tables(3, gmax)
     n = 2 * gmax + 2  # L3 row gmax sits at x^(2 gmax + 2)
-    recursion_ok = hodge.l_series(t3, n) == hodge.closed_form_L3(n)
+    recursion_ok = hodge.l_series(t3, n) == tables.closed_form("L", 3, n)
     vanishing_ok = all(
         localization.deg3_aux_residual(g, l2=t2, l3=t3) == 0
         for g in range(gmax + 1)
@@ -146,26 +144,24 @@ def _suite_lab(gmax: int, order: int, tables: TableGetter) -> bool:
     return recursion_ok and vanishing_ok
 
 
-def _suite_ode2(gmax: int, order: int, tables: TableGetter) -> bool:
+def _suite_ode2(gmax: int, order: int, tables: hodge.TableSource) -> bool:
     return hodge.ode_residual_deg2(tables(2), order).is_zero()
 
 
-def _suite_ode3(gmax: int, order: int, tables: TableGetter) -> bool:
+def _suite_ode3(gmax: int, order: int, tables: hodge.TableSource) -> bool:
     return hodge.ode_residual_deg3(tables(2), tables(3), order).is_zero()
 
 
-def _suite_conjecture(gmax: int, order: int, tables: TableGetter) -> bool:
-    one = TruncatedSeries.one(order)
-    if hodge.conjecture_series(1, order) != one:
+def _suite_conjecture(gmax: int, order: int, tables: hodge.TableSource) -> bool:
+    if tables.closed_form("I", 1, order) != TruncatedSeries.one(order):
         return False
     return all(
-        hodge.conjecture_series(d, order)
-        == hodge.i_series(tables(d), order)
+        tables.closed_form("I", d, order) == hodge.i_series(tables(d), order)
         for d in (2, 3)
     )
 
 
-def _suite_hurwitz(gmax: int, order: int, tables: TableGetter) -> bool:
+def _suite_hurwitz(gmax: int, order: int, tables: hodge.TableSource) -> bool:
     families = (
         (p3_full, hodge.p3_full_closed),
         (p3_trans, hodge.p3_trans_closed),
@@ -182,7 +178,7 @@ def _suite_hurwitz(gmax: int, order: int, tables: TableGetter) -> bool:
     return True
 
 
-def _suite_linearizations(gmax: int, order: int, tables: TableGetter) -> bool:
+def _suite_linearizations(gmax: int, order: int, tables: hodge.TableSource) -> bool:
     t2 = tables(2, gmax)
     return all(
         localization.deg2_linA(g, l2=t2) == localization.deg2_linB(g, l2=t2)
@@ -190,16 +186,16 @@ def _suite_linearizations(gmax: int, order: int, tables: TableGetter) -> bool:
     )
 
 
-def _suite_aspinwall(gmax: int, order: int, tables: TableGetter) -> bool:
+def _suite_aspinwall(gmax: int, order: int, tables: hodge.TableSource) -> bool:
     # The locus route to J2, and the J3 row, against the closed form d * I_d^2.
     n = max(order, 4)
     t2 = tables(2, gmax)
     t3 = tables(3)  # it reaches --order + 1; J3 row g sits at x^(2g+4)
-    j2 = hodge.closed_form_J(2, 2 * gmax + 2)
+    j2 = tables.closed_form("J", 2, 2 * gmax + 2)
     for g in range(gmax + 1):
         if localization.j2_from_loci(g, l2=t2) != egf_value(j2, 2 * g + 2):
             return False
-    return hodge.j_series(t3, n) == hodge.closed_form_J(3, n)
+    return hodge.j_series(t3, n) == tables.closed_form("J", 3, n)
 
 
 _SUITES = {
@@ -245,7 +241,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         if d not in (2, 3):
             return _usage_error(f"--what {args.what} needs degree 2 or 3")
         rows = {"I": hodge.i_series, "J": hodge.j_series, "L": hodge.l_series}
-        s = rows[args.what](hodge.table_source(n)(d), n)
+        s = rows[args.what](hodge.TableSource(n)(d), n)
         records.append(
             OutputRecord("series", args.what, degree=d, order=n,
                          payload=_series_payload(s))
@@ -273,7 +269,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if what in _P_CLOSED:
         row = [_P_CLOSED[what](g) for g in range(gmax + 1)]
     else:
-        row = getattr(hodge.table_source(0)(degree, gmax), what[0])
+        row = getattr(hodge.TableSource(0)(degree, gmax), what[0])
     record = OutputRecord(
         "table", what, degree=degree, gmax=gmax, payload=_table_payload(row)
     )
@@ -286,7 +282,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.order < 2:
         return _usage_error("order must be >= 2")
     names = list(_SUITES) if args.suite is None else [args.suite]
-    tables = hodge.table_source(args.order + 1)
+    # --all reads each degree's closed form at up to two orders: 2 gmax + 2
+    # (rel2, lab and aspinwall's J2) and --order, 4 at least (conjecture and
+    # aspinwall's J3).  Built once at the larger, it serves both; a suite on
+    # its own reads each degree at one order.
+    closed_order = max(2 * args.gmax + 2, args.order, 4) if args.suite is None else 0
+    tables = hodge.TableSource(args.order + 1, closed_order)
     failed = False
     for name in names:
         ok = _SUITES[name](args.gmax, args.order, tables)

@@ -23,7 +23,6 @@ scalings and squares, and a test checks the proven spellings above against it.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,7 +37,7 @@ __all__ = [
     "p3_trans_closed",
     "l2_table",
     "l3_table",
-    "table_source",
+    "TableSource",
     "l_series",
     "closed_form_L2",
     "closed_form_L3",
@@ -122,15 +121,23 @@ def _l2_terms(g: int, L2: list[Fraction]) -> list[Fraction]:
 def _l3_weights(
     g: int, P_full: list[Fraction], P_trans: list[Fraction]
 ) -> list[tuple[Fraction, Fraction]]:
-    """Weights (a_i, b_i), i <= g, of the relation sum a_i L3(i) + b_i L2(i) = 0."""
-    return [
-        (
-            Fraction(2, 3) * comb(2 * g + 3, 2 * i + 1)
-            * (-1) ** (g - i + 1) * P_full[g - i],
-            comb(2 * g + 3, 2 * i) * (-1) ** (g - i) * P_trans[g - i],
-        )
-        for i in range(g + 1)
-    ]
+    """Weights (a_i, b_i), i <= g, of the relation sum a_i L3(i) + b_i L2(i) = 0.
+
+    a_i = (2/3) C(2g+3, 2i+1) (-1)^(g-i+1) P_full(g-i) and
+    b_i = C(2g+3, 2i) (-1)^(g-i) P_trans(g-i), each built as one Fraction
+    from integers.
+    """
+    weights = []
+    for i in range(g + 1):
+        sign = -1 if (g - i) % 2 else 1
+        full, trans = P_full[g - i], P_trans[g - i]
+        weights.append((
+            Fraction(-2 * sign * comb(2 * g + 3, 2 * i + 1) * full.numerator,
+                     3 * full.denominator),
+            Fraction(sign * comb(2 * g + 3, 2 * i) * trans.numerator,
+                     trans.denominator),
+        ))
+    return weights
 
 
 def _j_terms(d: int, g: int, I: list[Fraction]) -> list[Fraction]:
@@ -208,8 +215,8 @@ def l_series(table: HodgeTable, order: int) -> TruncatedSeries:
     return _row_series(table, table.L, 0, order)
 
 
-def table_source(order: int) -> Callable[..., HodgeTable]:
-    """The one source of tables for a request whose series reach ``order``.
+class TableSource:
+    """The one source of tables and closed forms for one request.
 
     ``tables(degree, gmax=0)`` returns the degree's table to at least the
     larger of ``gmax`` and the genus its L row needs to fill ``order``.  A
@@ -217,11 +224,24 @@ def table_source(order: int) -> Callable[..., HodgeTable]:
     prefix-stable.  Otherwise L2 is solved at that genus unless the source's
     L2 already reaches it, and L3 is solved from the source's L2, so it
     takes L2's genus.
-    """
-    solved: dict[int, HodgeTable] = {}
 
-    def tables(degree: int, gmax: int = 0) -> HodgeTable:
-        reach = max(gmax, _genus_for_order(degree, order))
+    ``tables.closed_form(row, degree, n)`` returns the closed form of the
+    degree's ``row`` ("I", "L" or "J") to order n.  Each degree's I_d is
+    built once, by ``conjecture_series`` at the larger of n and
+    ``closed_order``, and every request reads a truncation of it, which is
+    exact since the series is prefix-stable; a request past the order built
+    builds it again.  Nothing outlives the source.
+    """
+
+    def __init__(self, order: int, closed_order: int = 0):
+        self._order = order
+        self._closed_order = closed_order
+        self._solved: dict[int, HodgeTable] = {}
+        self._closed: dict[int, TruncatedSeries] = {}
+
+    def __call__(self, degree: int, gmax: int = 0) -> HodgeTable:
+        solved = self._solved
+        reach = max(gmax, _genus_for_order(degree, self._order))
         table = solved.get(degree)
         if table is None or table.gmax < reach:
             l2 = solved.get(2)
@@ -230,7 +250,12 @@ def table_source(order: int) -> Callable[..., HodgeTable]:
             table = solved[degree] = l2 if degree == 2 else l3_table(l2)
         return table
 
-    return tables
+    def closed_form(self, row: str, degree: int, n: int) -> TruncatedSeries:
+        i_d = self._closed.get(degree)
+        if i_d is None or i_d.order < n:
+            i_d = conjecture_series(degree, max(n, self._closed_order))
+            self._closed[degree] = i_d
+        return _from_i(row, degree, i_d.truncate(n))
 
 
 def conjecture_series(d: int, N: int) -> TruncatedSeries:
@@ -251,19 +276,29 @@ def conjecture_series(d: int, N: int) -> TruncatedSeries:
     return div(numerator, denominator) * Fraction(sign, d)
 
 
+def _from_i(row: str, degree: int, i_d: TruncatedSeries) -> TruncatedSeries:
+    """The closed form of ``row`` read off I_d: L is its scaling, J is
+    ``degree`` times its square."""
+    if row == "L":
+        return i_d / _I_PER_L[degree]
+    if row == "J":
+        return degree * i_d**2
+    return i_d
+
+
 def closed_form_L2(N: int) -> TruncatedSeries:
     """-2 I_2(x) to order N: the EGF of L2."""
-    return conjecture_series(2, N) / _I_PER_L[2]
+    return _from_i("L", 2, conjecture_series(2, N))
 
 
 def closed_form_L3(N: int) -> TruncatedSeries:
     """(9/2) I_3(x) to order N: the EGF of L3."""
-    return conjecture_series(3, N) / _I_PER_L[3]
+    return _from_i("L", 3, conjecture_series(3, N))
 
 
 def closed_form_J(d: int, N: int) -> TruncatedSeries:
     """d * I_d(x)^2 to order N: the EGF of J_d."""
-    return d * conjecture_series(d, N) ** 2
+    return _from_i("J", d, conjecture_series(d, N))
 
 
 def i_series(table: HodgeTable, order: int) -> TruncatedSeries:

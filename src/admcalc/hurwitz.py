@@ -20,8 +20,11 @@ are placed among them, one recursion level per non-trivial cycle.
 A hard bound on the raw search space, the product of the first n-1
 conjugacy class sizes, guards against accidental explosions.  It counts the
 tuples the fold stands for; no slot of the fold holds more states than that.
-A class with more non-trivial cycles than the interpreter's stack has
-levels is refused with the same error.
+A second, fixed bound caps the memory of the class lists: their entries,
+the sum of |C| * d over the distinct classes built, may not pass
+MAX_CLASS_ENTRIES.  A class with more non-trivial cycles than the
+interpreter's stack has levels is refused with the same error when it is
+built; a count refuses it earlier, by the size of its list.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from typing import Iterator
 
 __all__ = [
     "DEFAULT_MAX_TUPLES",
+    "MAX_CLASS_ENTRIES",
     "EnumerationBoundError",
     "CycleType",
     "BranchProfile",
@@ -47,11 +51,15 @@ __all__ = [
 ]
 
 DEFAULT_MAX_TUPLES = 10**9
+# Image-tuple entries all class lists of one count may hold, about 80 MB of
+# references.  It is fixed: ``max_tuples`` does not move it.
+MAX_CLASS_ENTRIES = 10**7
 
 
 class EnumerationBoundError(RuntimeError):
-    """Raw tuple space exceeds the configured enumeration bound, or a
-    conjugacy class is too deep to build."""
+    """Raw tuple space exceeds the configured enumeration bound, the class
+    lists would pass MAX_CLASS_ENTRIES, or a conjugacy class is too deep to
+    build."""
 
 
 def _type_of_images(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -204,7 +212,8 @@ def hurwitz_count(
 
     With ``connected=True`` only transitive tuples are counted.  Raises
     EnumerationBoundError if the product of the first n-1 conjugacy class
-    sizes exceeds ``max_tuples``.
+    sizes exceeds ``max_tuples``, or if their distinct classes would hold
+    more than MAX_CLASS_ENTRIES image entries.
     """
     d = profile.degree
     types = [t.parts for t in profile.profiles]
@@ -224,6 +233,10 @@ def hurwitz_count(
         # The product is not shown: at large degrees it has millions of
         # decimal digits, and writing them out takes seconds.
         raise EnumerationBoundError(f"search space exceeds the bound {max_tuples}")
+    if d * sum(sizes.values()) > MAX_CLASS_ENTRIES:
+        raise EnumerationBoundError(
+            f"the class lists would hold more than {MAX_CLASS_ENTRIES} entries"
+        )
     weight = Fraction(1, math.factorial(d))
     if d == 1:
         # S_1 is trivial: one tuple of identities, transitive on one sheet.

@@ -22,15 +22,20 @@ the vanishing check (criterion 6) restate the L2 and L3 recursions, and
 ``j2_from_loci`` sums the convolution that builds the J2 table; they catch
 a table that disagrees with its own recursion, not an error in the
 recursion itself.
+
+A catalog term, ``FixedLocusTerm``, is a NamedTuple, so it compares as the
+plain tuple of its fields.  Each identity sums its catalog's coefficients in
+integers over their lcm denominator and builds one Fraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .hodge import HodgeTable, _j_terms, _l2_terms, _l3_weights, p2_closed
+from .series import _integer_terms
 
 __all__ = [
     "LocusKind",
@@ -67,8 +72,10 @@ class LocusKind(Enum):
     J_RIGHT = "J:g-right"
 
 
-@dataclass(frozen=True)
-class FixedLocusTerm:
+class FixedLocusTerm(NamedTuple):
+    """One locus of a catalog: its degree, kind, genera, coefficient and
+    hbar exponent."""
+
     degree: int
     kind: LocusKind
     genera: tuple[int, ...]
@@ -194,7 +201,8 @@ def _loci_sum(
 ) -> Fraction:
     """Sum of the coefficients of one family's catalog at genus g."""
     terms = enumerate_loci(g, family, l2, l3)
-    return sum((t.coefficient for t in terms), Fraction(0))
+    numerators, den = _integer_terms([t.coefficient for t in terms])
+    return Fraction(sum(numerator for _, numerator in numerators), den)
 
 
 def deg2_linA(g: int, l2: HodgeTable) -> Fraction:

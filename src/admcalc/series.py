@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -48,7 +48,7 @@ def _as_rational(value: Scalar) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as a rational coefficient")
 
 
-def _integer_terms(coeffs: tuple[Fraction, ...]) -> tuple[list[tuple[int, int]], int]:
+def _integer_terms(coeffs: Sequence[Fraction]) -> tuple[list[tuple[int, int]], int]:
     """The nonzero coefficients as (exponent, numerator) over their lcm denominator."""
     den = math.lcm(*(c.denominator for c in coeffs))
     terms = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(coeffs) if c]

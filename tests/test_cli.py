@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -381,6 +382,35 @@ def test_verify_all_solves_each_table_once(capsys, monkeypatch):
         assert built == [(2, 10), (3, 10)]
 
 
+def spy_on_closed_forms(monkeypatch):
+    """Record (d, N) of every closed form built through hodge."""
+    built = []
+    build = hodge.conjecture_series
+
+    def spy(d, N):
+        built.append((d, N))
+        return build(d, N)
+
+    monkeypatch.setattr(hodge, "conjecture_series", spy)
+    return built
+
+
+def test_verify_all_builds_each_closed_form_once(capsys, monkeypatch):
+    # rel2, lab and aspinwall's J2 read up to x^(2 gmax + 2) = x^142, and
+    # conjecture and J3 --order 141: one build per degree at 142 serves all.
+    built = spy_on_closed_forms(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--all", "--gmax", "70", "--order", "141")
+    assert code == 0 and out.count(": pass") == 8
+    assert sorted(built) == [(1, 142), (2, 142), (3, 142)]
+
+
+def test_verify_suite_builds_only_its_closed_forms(capsys, monkeypatch):
+    built = spy_on_closed_forms(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "rel2", "--gmax", "6")
+    assert (code, out) == (0, "rel2: pass\n")
+    assert built == [(2, 13)]
+
+
 @pytest.mark.parametrize(
     "argv, most",
     [
@@ -468,6 +498,19 @@ def test_hurwitz_refusal_names_only_the_bound(capsys):
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and len(err.encode()) < 200
     assert "exceeds the bound" in err
+
+
+def test_hurwitz_class_lists_are_bounded(capsys):
+    # Two transposition classes of S_2000 pass the raw bound (1,999,000
+    # tuples) but their class list would hold 1999000 * 2000 entries.
+    thin = ",".join(["2"] + ["1"] * 1998)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "hurwitz", "--degree", "2000", "--profile", thin, "--profile", thin
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "admcalc: the class lists would hold more than 10000000 entries\n"
 
 
 @pytest.mark.parametrize(

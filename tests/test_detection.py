@@ -2,9 +2,10 @@
 
 Each row plants one fault and runs every suite at gmax 6, order 13; the
 set of suites that fail must equal the declared one.  A row fault serves
-perturbed tables through the getter the suites read.  A term fault patches
-one relation's summand function where both ``hodge`` and ``localization``
-read it, and the suites read fresh tables from ``hodge.table_source``.
+perturbed tables, and the true closed forms, through the source the suites
+read.  A term fault patches one relation's summand function where both
+``hodge`` and ``localization`` read it, and the suites read fresh tables from
+a ``hodge.TableSource``.
 ``hurwitz`` reads no table, so no fault here reaches it.
 """
 
@@ -30,8 +31,12 @@ def _bumped(row, index):
 
 
 def _served(t2, t3):
-    served = {2: t2, 3: t3}
-    return lambda degree, gmax=0: served[degree]
+    # A source that serves the given tables and the true closed forms.
+    class Served(hodge.TableSource):
+        def __call__(self, degree, gmax=0):
+            return {2: t2, 3: t3}[degree]
+
+    return Served(ORDER + 1)
 
 
 def _true_tables():
@@ -115,4 +120,4 @@ def test_term_fault_detection(monkeypatch, name, fault, expected):
 
     for module in (hodge, localization):
         monkeypatch.setattr(module, name, faulty)
-    assert _failing(hodge.table_source(ORDER + 1)) == expected
+    assert _failing(hodge.TableSource(ORDER + 1)) == expected

@@ -1,9 +1,14 @@
 import dataclasses
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admcalc.hodge import (
+    TableSource,
+    _l3_weights,
     closed_form_J,
     closed_form_L2,
     closed_form_L3,
@@ -54,6 +59,29 @@ def test_table_invariants():
         assert t3.I[g] == F(2, 9) * t3.L[g]
     assert t2.J[0] == F(1, 4) and t2.J[1] == F(1, 2)
     assert t3.I[0] == F(2, 9) and t3.J[0] == F(8, 9)
+
+
+def three_product_l3_weights(g, P_full, P_trans):
+    """The degree-3 weights as the relation writes them: three products each."""
+    return [
+        (
+            Fraction(2, 3) * comb(2 * g + 3, 2 * i + 1)
+            * (-1) ** (g - i + 1) * P_full[g - i],
+            comb(2 * g + 3, 2 * i) * (-1) ** (g - i) * P_trans[g - i],
+        )
+        for i in range(g + 1)
+    ]
+
+
+P_VALUES = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 25), st.data())
+def test_l3_weights_match_the_three_products(g, data):
+    row = st.lists(P_VALUES, min_size=g + 1, max_size=g + 1)
+    P_full, P_trans = data.draw(row), data.draw(row)
+    assert _l3_weights(g, P_full, P_trans) == three_product_l3_weights(g, P_full, P_trans)
 
 
 @pytest.mark.parametrize("degree", [2, 3], ids=["l2_table", "l3_table"])
@@ -217,6 +245,25 @@ def test_conjecture_degree_four_emits_data():
     assert s.valuation() == 3
     # leading term of -(1/4)(2 sin(x/2))^4 / (2 sin 2x) is -x^3/16
     assert s.coeff(3) == F(-1, 16)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_conjecture_series_is_prefix_stable(d):
+    # What lets one build at the largest order serve every lower one.
+    built = {N: conjecture_series(d, N) for N in range(d - 1, 61)}
+    for N, series in built.items():
+        for n in range(d - 1, N + 1):
+            assert series.truncate(n) == built[n]
+
+
+def test_table_source_closed_forms_are_truncations():
+    source = TableSource(0, closed_order=20)
+    assert source.closed_form("I", 2, 9) == conjecture_series(2, 9)
+    assert source.closed_form("L", 2, 9) == closed_form_L2(9)
+    assert source.closed_form("L", 3, 12) == closed_form_L3(12)
+    assert source.closed_form("J", 3, 20) == closed_form_J(3, 20)
+    # A request past the order built builds the degree again.
+    assert source.closed_form("J", 2, 31) == closed_form_J(2, 31)
 
 
 def test_conjecture_validation():

@@ -128,10 +128,14 @@ def test_class_images_skip_fixed_points():
 
 def test_class_too_deep_to_build_is_refused():
     # (2^1000) in S_2000 needs one recursion level per transposition, past the
-    # interpreter's stack; the count ends in the bound error at the first
-    # member instead of building any of its ~10^2866 elements.
-    deep = profile(2000, (2,) * 1000, (2,) * 1000)
+    # interpreter's stack; building it ends in the bound error at the first
+    # member instead of building any of its ~10^2866 elements.  A count
+    # refuses it earlier, by the size of its class list.
+    parts = (2,) * 1000
     with pytest.raises(EnumerationBoundError, match="1000 non-trivial cycles"):
+        next(_class_images(2000, parts))
+    deep = profile(2000, parts, parts)
+    with pytest.raises(EnumerationBoundError, match="class lists"):
         hurwitz_count(deep, max_tuples=10**4000)
 
 

@@ -2,10 +2,13 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admcalc.hodge import closed_form_L2, l2_table, l3_table
 from admcalc.localization import (
     LocusKind,
+    _loci_sum,
     deg2_linA,
     deg2_linB,
     deg3_aux_residual,
@@ -196,3 +199,27 @@ def test_tables_must_reach_the_genus(family, degree):
     if degree == 3:  # only the aux family reads the L3 table
         with pytest.raises(ValueError, match="reach genus 4"):
             enumerate_loci(4, family, l2_table(4), l3_table(l2_table(3)))
+
+
+ROWS = [("l2", "L"), ("l3", "L"), ("l3", "P_full"), ("l3", "P_trans")]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(ROWS),
+    st.integers(0, 12),
+    st.fractions(min_value=-100, max_value=100, max_denominator=50).filter(bool),
+)
+def test_loci_sum_matches_the_fraction_sum(row, k, delta):
+    # The integer sum over the lcm denominator equals the Fraction sum, also
+    # on tables one bumped row has taken off their identities.
+    table, field = row
+    values = list(getattr(T2 if table == "l2" else T3, field))
+    values[k] += delta
+    t2 = dataclasses.replace(T2, L=values) if table == "l2" else T2
+    t3 = dataclasses.replace(T3, **{field: values}) if table == "l3" else T3
+    for g in range(13):
+        for family in ("linA", "linB", "J", "aux"):
+            terms = enumerate_loci(g, family, t2, t3)
+            expected = sum((t.coefficient for t in terms), Fraction(0))
+            assert _loci_sum(g, family, t2, t3) == expected
