@@ -13,7 +13,6 @@ from .hodge import (
     closed_form_L3,
     conjecture_series,
     i_series,
-    j_relation_check,
     j_series,
     l2_table,
     l3_table,
@@ -50,7 +49,6 @@ __all__ = [
     "conjecture_series",
     "i_series",
     "j_series",
-    "j_relation_check",
     "ode_residual_deg2",
     "ode_residual_deg3",
     "CycleType",

@@ -410,9 +410,7 @@ def run(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except EnumerationBoundError as exc:
-        return _usage_error(str(exc))
-    except ValueError as exc:
+    except (EnumerationBoundError, ValueError) as exc:
         return _usage_error(str(exc))
     finally:
         if limit is not None:

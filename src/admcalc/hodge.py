@@ -41,7 +41,6 @@ __all__ = [
     "l_series",
     "closed_form_L2",
     "closed_form_L3",
-    "closed_form_J",
     "conjecture_series",
     "i_series",
     "j_series",
@@ -296,11 +295,6 @@ def closed_form_L3(N: int) -> TruncatedSeries:
     return _from_i("L", 3, conjecture_series(3, N))
 
 
-def closed_form_J(d: int, N: int) -> TruncatedSeries:
-    """d * I_d(x)^2 to order N: the EGF of J_d."""
-    return _from_i("J", d, conjecture_series(d, N))
-
-
 def i_series(table: HodgeTable, order: int) -> TruncatedSeries:
     """EGF of the one-point invariants I_d(g) of the table's degree."""
     return _row_series(table, table.I, 0, order)
@@ -323,10 +317,14 @@ def p3_trans_series(N: int) -> TruncatedSeries:
 
 def j_relation_check(g: int) -> bool:
     """Compare the table's J2(g), the convolution ``_j_terms``, with the
-    coefficient of the closed form ``closed_form_J(2)`` = 2 * I_2(x)^2."""
+    coefficient of the J closed form 2 * I_2(x)^2, read off
+    ``conjecture_series(2)``.  No command calls it; the tests and the
+    benchmark's tracer do."""
     if g < 0:
         raise ValueError("genus must be >= 0")
-    return l2_table(g).J[g] == egf_value(closed_form_J(2, 2 * g + 2), 2 * g + 2)
+    order = 2 * g + 2
+    closed = _from_i("J", 2, conjecture_series(2, order))
+    return l2_table(g).J[g] == egf_value(closed, order)
 
 
 def ode_residual_deg2(l2: HodgeTable, N: int) -> TruncatedSeries:

@@ -213,8 +213,11 @@ def hurwitz_count(
     With ``connected=True`` only transitive tuples are counted.  Raises
     EnumerationBoundError if the product of the first n-1 conjugacy class
     sizes exceeds ``max_tuples``, or if their distinct classes would hold
-    more than MAX_CLASS_ENTRIES image entries.
+    more than MAX_CLASS_ENTRIES image entries, and ValueError if
+    ``max_tuples`` is negative.
     """
+    if max_tuples < 0:
+        raise ValueError("max_tuples must be >= 0")
     d = profile.degree
     types = [t.parts for t in profile.profiles]
     n = len(types)

@@ -1,12 +1,13 @@
 """Exact truncated power series over the rationals.
 
 Every coefficient is a ``fractions.Fraction``; no value ever passes through
-floating point.  Products and quotients of two series sum integer numerators
-over a common denominator and build one ``Fraction`` per coefficient.  A
-series carries its truncation order N (the largest tracked exponent), and
-each operation states the order of its result.  Binary operations insist on
-equal orders, so order bookkeeping mistakes surface as errors instead of
-silently wrong tails.
+floating point.  A series is made from its full coefficient list, and its
+truncation order N (the largest tracked exponent) is one less than the list's
+length; each operation states the order of its result.  Products and
+quotients of two series sum integer numerators over a common denominator and
+build one ``Fraction`` per coefficient.  Binary operations insist on equal
+orders, so order bookkeeping mistakes surface as errors instead of silently
+wrong tails.
 """
 
 from __future__ import annotations
@@ -63,32 +64,19 @@ class TruncatedSeries:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
+    def __init__(self, coeffs: Iterable[Scalar]):
         cs = [_as_rational(c) for c in coeffs]
-        if order is None:
-            if not cs:
-                raise ValueError("empty coefficient list needs an explicit order")
-        else:
-            if order < 0:
-                raise ValueError("order must be >= 0")
-            if len(cs) > order + 1:
-                raise ValueError("got more coefficients than order allows")
-            cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+        if not cs:
+            raise ValueError("a series needs at least one coefficient")
         self._coeffs = tuple(cs)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order=order)
-
-    @classmethod
-    def constant(cls, value: Scalar, order: int) -> "TruncatedSeries":
-        return cls([value], order=order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls.constant(1, order)
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        return cls([1] + [0] * order)
 
     @classmethod
     def from_egf(cls, terms: Iterable[tuple[int, Scalar]], order: int) -> "TruncatedSeries":
@@ -241,23 +229,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{k}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(x^{self.order + 1})"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self._coeffs)!r})"

@@ -489,6 +489,9 @@ def test_hurwitz_bound_flag_and_env(capsys):
     assert code == 2 and "exceeds" in err
     code, out, _ = run_cli(capsys, *args, "--max-tuples", "27")
     assert code == 0 and out.strip() == "4"
+    # A negative bound is refused as an option, not as the request's size.
+    code, out, err = run_cli(capsys, *args, "--max-tuples", "-1")
+    assert (code, out, err) == (2, "", "admcalc: max_tuples must be >= 0\n")
 
 
 def test_hurwitz_refusal_names_only_the_bound(capsys):

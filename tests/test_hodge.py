@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from admcalc.hodge import (
     TableSource,
     _l3_weights,
-    closed_form_J,
     closed_form_L2,
     closed_form_L3,
     conjecture_series,
@@ -139,8 +138,8 @@ def test_proven_spellings_match_the_closed_form(N):
     inverse = div(TruncatedSeries.one(N), 2 * cos_scaled(1, N) + 1)
     assert F(9, 2) * (inverse - F(1, 3)) == closed_form_L3(N)
     j3 = div(F(16, 3) * sin_scaled(half, N + 2) ** 6, sin_scaled(F(3, 2), N + 2) ** 2)
-    assert j3 == closed_form_J(3, N)
-    assert tan_half**2 / 2 == closed_form_J(2, N)
+    assert j3 == TableSource(0).closed_form("J", 3, N)
+    assert tan_half**2 / 2 == TableSource(0).closed_form("J", 2, N)
 
 
 @pytest.mark.parametrize("gmax", [0, 1, 5, 12])
@@ -261,9 +260,9 @@ def test_table_source_closed_forms_are_truncations():
     assert source.closed_form("I", 2, 9) == conjecture_series(2, 9)
     assert source.closed_form("L", 2, 9) == closed_form_L2(9)
     assert source.closed_form("L", 3, 12) == closed_form_L3(12)
-    assert source.closed_form("J", 3, 20) == closed_form_J(3, 20)
+    assert source.closed_form("J", 3, 20) == TableSource(0).closed_form("J", 3, 20)
     # A request past the order built builds the degree again.
-    assert source.closed_form("J", 2, 31) == closed_form_J(2, 31)
+    assert source.closed_form("J", 2, 31) == TableSource(0).closed_form("J", 2, 31)
 
 
 def test_conjecture_validation():

@@ -242,6 +242,8 @@ def test_enumeration_bound():
     with pytest.raises(EnumerationBoundError):
         hurwitz_count(big, max_tuples=26)
     assert hurwitz_count(big, max_tuples=27) == 4
+    with pytest.raises(ValueError, match="max_tuples must be >= 0"):
+        hurwitz_count(big, max_tuples=-1)
 
 
 def test_refusal_forms_one_factorial_of_the_degree(monkeypatch):

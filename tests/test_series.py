@@ -38,33 +38,23 @@ def random_series(rng, order, max_num=9, max_den=7):
 # -- construction ----------------------------------------------------------
 
 
-def test_padding_and_order():
-    s = TruncatedSeries([1, 2], order=4)
-    assert s.order == 4
-    assert s.coeffs == (Fraction(1), Fraction(2), 0, 0, 0)
-
-
-def test_too_many_coefficients_rejected():
-    with pytest.raises(ValueError):
-        TruncatedSeries([1, 2, 3], order=1)
-
-
 def test_empty_needs_order():
     with pytest.raises(ValueError):
         TruncatedSeries([])
-    assert TruncatedSeries.zero(3).is_zero()
+    assert TruncatedSeries([0] * 4).is_zero()
 
 
 def test_floats_rejected():
     with pytest.raises(TypeError):
-        TruncatedSeries([0.5], order=2)
+        TruncatedSeries([0, 0.5, 0])
     with pytest.raises(TypeError):
         sin_scaled(0.5, 4)
 
 
 def test_named_constructors():
     assert TruncatedSeries.one(2).coeffs == (1, 0, 0)
-    assert TruncatedSeries.constant(Fraction(2, 3), 1).constant_term == Fraction(2, 3)
+    with pytest.raises(ValueError):
+        TruncatedSeries.one(-1)
 
 
 def test_from_egf_offsets_and_accumulation():
@@ -108,7 +98,7 @@ def test_mul_small_case():
 
 
 def test_pow():
-    f = TruncatedSeries([1, 1], order=4)
+    f = TruncatedSeries([1, 1, 0, 0, 0])
     assert (f**4).coeffs == (1, 4, 6, 4, 1)
     assert (f**0) == TruncatedSeries.one(4)
     with pytest.raises(ValueError):
@@ -116,7 +106,7 @@ def test_pow():
 
 
 def test_pow_multiplies_k_minus_one_times(monkeypatch):
-    f = TruncatedSeries([Fraction(1, 2), -1, 3], order=5)
+    f = TruncatedSeries([Fraction(1, 2), -1, 3, 0, 0, 0])
     expected = [TruncatedSeries.one(5), f, f * f, f * f * f]
     calls = []
     mul = TruncatedSeries.__mul__
@@ -185,7 +175,7 @@ def test_div_valuation_round_trip():
 def test_div_errors():
     f = TruncatedSeries([0, 1, 0])
     with pytest.raises(SeriesDivisionError):
-        div(f, TruncatedSeries.zero(2))
+        div(f, TruncatedSeries([0, 0, 0]))
     with pytest.raises(SeriesDivisionError):
         # numerator valuation 1 < denominator valuation 2
         div(f, TruncatedSeries([0, 0, 1]))
@@ -194,9 +184,9 @@ def test_div_errors():
 
 
 def test_zero_numerator_divides_anything():
-    z = TruncatedSeries.zero(5)
+    z = TruncatedSeries([0] * 6)
     g = TruncatedSeries([0, 2, 1, 0, 0, 0])
-    assert div(z, g) == TruncatedSeries.zero(4)
+    assert div(z, g) == TruncatedSeries([0] * 5)
 
 
 # -- trigonometric expansions ---------------------------------------------
@@ -323,7 +313,7 @@ def test_ring_axioms_small():
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
-        assert f + (-f) == TruncatedSeries.zero(order)
+        assert f + (-f) == TruncatedSeries([0] * (order + 1))
 
 
 def test_truncation_commutes_with_mul():
@@ -338,16 +328,14 @@ def test_truncation_commutes_with_mul():
 def test_valuation_and_display():
     f = TruncatedSeries([0, 0, Fraction(1, 2), 0])
     assert f.valuation() == 2
-    assert TruncatedSeries.zero(4).valuation() is None
-    assert str(f) == "1/2*x^2 + O(x^4)"
-    assert str(TruncatedSeries.zero(1)) == "0 + O(x^2)"
+    assert TruncatedSeries([0] * 5).valuation() is None
     assert "Fraction(1, 2)" in repr(f)
 
 
-def test_equality_and_hash():
-    f = TruncatedSeries([1, 2], order=3)
+def test_equality():
+    f = TruncatedSeries.from_egf([(0, 1), (1, 2)], 3)
     g = TruncatedSeries([1, 2, 0, 0])
-    assert f == g and hash(f) == hash(g)
+    assert f == g
     assert f != g.truncate(2)
 
 
