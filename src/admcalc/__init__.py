@@ -26,8 +26,6 @@ from .hurwitz import (
     hurwitz_count,
 )
 from .localization import (
-    FixedLocusTerm,
-    LocusKind,
     deg2_linA,
     deg2_linB,
     deg3_aux_residual,
@@ -55,8 +53,6 @@ __all__ = [
     "BranchProfile",
     "hurwitz_count",
     "EnumerationBoundError",
-    "LocusKind",
-    "FixedLocusTerm",
     "enumerate_loci",
     "deg2_linA",
     "deg2_linB",

@@ -108,8 +108,8 @@ def p3_trans_closed(g: int) -> Fraction:
 # -- the relations -----------------------------------------------------------
 #
 # Each relation's per-i summands are written once, here.  The tables solve
-# them; the fixed-locus catalogs in ``localization`` attach a locus to each
-# summand, so their identities restate these relations.
+# them; the fixed-locus catalogs in ``localization`` list each summand as one
+# locus, so their identities restate these relations.
 
 
 def _l2_terms(g: int, L2: list[Fraction]) -> list[Fraction]:

@@ -22,9 +22,10 @@ conjugacy class sizes, guards against accidental explosions.  It counts the
 tuples the fold stands for; no slot of the fold holds more states than that.
 A second, fixed bound caps the memory of the class lists: their entries,
 the sum of |C| * d over the distinct classes built, may not pass
-MAX_CLASS_ENTRIES.  A class with more non-trivial cycles than the
-interpreter's stack has levels is refused with the same error when it is
-built; a count refuses it earlier, by the size of its list.
+MAX_CLASS_ENTRIES; ``permutations_with_type`` holds one class to the same
+bound.  Under it a class has at most 7 non-trivial cycles (the least with
+8, eight transpositions in S_16, has 2,027,025 members of 16 entries), so
+the recursion that builds a class stays shallow.
 """
 
 from __future__ import annotations
@@ -57,9 +58,8 @@ MAX_CLASS_ENTRIES = 10**7
 
 
 class EnumerationBoundError(RuntimeError):
-    """Raw tuple space exceeds the configured enumeration bound, the class
-    lists would pass MAX_CLASS_ENTRIES, or a conjugacy class is too deep to
-    build."""
+    """Raw tuple space exceeds the configured enumeration bound, or the
+    class lists would pass MAX_CLASS_ENTRIES."""
 
 
 def _type_of_images(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -124,8 +124,8 @@ def _class_images(d: int, parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     Inside it, the least point not yet placed opens a cycle of each length
     still left, and an ordered choice of the cycle's other points follows:
     every permutation is built from its cycles written from their least
-    point.  The recursion is one level deep per non-trivial cycle; a class
-    with more cycles than the interpreter's stack holds is refused.
+    point.  The recursion is one level deep per non-trivial cycle; callers
+    bound the class by MAX_CLASS_ENTRIES first, which keeps it shallow.
     """
     cycles = [length for length in parts if length > 1]
     left = Counter(cycles)
@@ -148,22 +148,25 @@ def _class_images(d: int, parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     if not cycles:
         yield tuple(images)
         return
-    try:
-        for points in combinations(range(d), sum(cycles)):
-            yield from cycles_from(list(points))
-            for i in points:
-                images[i] = i
-    except RecursionError:
-        raise EnumerationBoundError(
-            f"a class with {len(cycles)} non-trivial cycles is too deep to build"
-        ) from None
+    for points in combinations(range(d), sum(cycles)):
+        yield from cycles_from(list(points))
+        for i in points:
+            images[i] = i
 
 
 def permutations_with_type(d: int, t: CycleType) -> list[tuple[int, ...]]:
     """All elements of S_d with the given cycle type (the conjugacy class),
-    as 0-based image tuples: entry i is the image of sheet i."""
+    as 0-based image tuples: entry i is the image of sheet i.
+
+    Raises EnumerationBoundError, before building anything, if the list
+    would hold more than MAX_CLASS_ENTRIES image entries.
+    """
     if t.degree != d:
         raise ValueError(f"cycle type {t.parts} does not partition {d}")
+    if d * _class_size(d, t.parts) > MAX_CLASS_ENTRIES:
+        raise EnumerationBoundError(
+            f"the class lists would hold more than {MAX_CLASS_ENTRIES} entries"
+        )
     return list(_class_images(d, t.parts))
 
 

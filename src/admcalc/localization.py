@@ -14,32 +14,25 @@ substituted.  Three families are catalogued:
 
 The raw equivariant data (Hodge bundle weights, psi-class denominators,
 normal bundle factors) is not modelled; only the reduced outcome per locus
-is, which is what the identities consume.  The reduced outcomes are the
-summands of the relations in ``hodge`` (``_l2_terms``, ``_l3_weights``,
-``_j_terms``): a catalog attaches a locus kind, genera and an hbar exponent
-to each summand.  So the linearization check (acceptance criterion 5) and
-the vanishing check (criterion 6) restate the L2 and L3 recursions, and
-``j2_from_loci`` sums the convolution that builds the J2 table; they catch
-a table that disagrees with its own recursion, not an error in the
-recursion itself.
-
-A catalog term, ``FixedLocusTerm``, is a NamedTuple, so it compares as the
-plain tuple of its fields.  Each identity sums its catalog's coefficients in
-integers over their lcm denominator and builds one Fraction.
+is, which is what the identities consume.  A catalog is the list of those
+outcomes, one coefficient per locus: the summands of a relation in
+``hodge`` (``_l2_terms``, ``_l3_weights``, ``_j_terms``), with the locus of
+each named in a comment beside its builder.  So the linearization check
+(acceptance criterion 5) and the vanishing check (criterion 6) restate the
+L2 and L3 recursions, and ``j2_from_loci`` sums the convolution that builds
+the J2 table; they catch a table that disagrees with its own recursion, not
+an error in the recursion itself.  Each identity sums its catalog in
+integers over the lcm denominator and builds one Fraction.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
 
 from .hodge import HodgeTable, _j_terms, _l2_terms, _l3_weights, p2_closed
 from .series import _integer_terms
 
 __all__ = [
-    "LocusKind",
-    "FixedLocusTerm",
     "enumerate_loci",
     "deg2_linA",
     "deg2_linB",
@@ -47,120 +40,52 @@ __all__ = [
     "j2_from_loci",
 ]
 
-
-class LocusKind(Enum):
-    """Structural tag for a fixed locus.
-
-    The F_{a,b} notation lists the genera of the cover components sitting
-    over the two torus-fixed points of the base; a dot marks a side with no
-    positive-dimensional component, an extra slot a rational bridge through
-    a node.
-    """
-
-    DEG2_A_MAIN = "linA:F_{g,.}"
-    DEG2_B_INFTY = "linB:F_{.,g}"
-    DEG2_B_SPLIT = "linB:F_{g1,g2}"
-    DEG2_B_MAIN = "linB:F_{g,.}"
-    AUX_MAIN_ZERO = "aux:F_{g,0}"
-    AUX_SPLIT = "aux:F_{g1,g2}"
-    AUX_ZERO_MAIN = "aux:F_{0,g}"
-    AUX_MAIN_NODE = "aux:F_{g,.,.}"
-    AUX_SPLIT_NODE = "aux:F_{g1,g2,x}"
-    AUX_ZERO_MAIN_NODE = "aux:F_{0,g,.}"
-    J_LEFT = "J:g-left"
-    J_SPLIT = "J:g1g2-split"
-    J_RIGHT = "J:g-right"
+# F_{a,b} lists the genera of the cover components over the two torus-fixed
+# points of the base, 0 and infinity; a dot marks a side with no
+# positive-dimensional component, an extra slot a rational bridge through a
+# node.  The genera of every locus of a catalog sum to g.
 
 
-class FixedLocusTerm(NamedTuple):
-    """One locus of a catalog: its degree, kind, genera, coefficient and
-    hbar exponent."""
-
-    degree: int
-    kind: LocusKind
-    genera: tuple[int, ...]
-    coefficient: Fraction
-    hbar_exponent: int
+def _deg2_linA_terms(g: int, l2: HodgeTable) -> list[Fraction]:
+    # The single locus F_{g,.}: its lambda-lambda-psi sum gives L2(g), with
+    # overall weight -1/2: the table's I2(g).
+    return [l2.I[g]]
 
 
-def _deg2_linA_terms(g: int, l2: HodgeTable) -> list[FixedLocusTerm]:
-    # Single locus: genus-g component over 0, its lambda-lambda-psi sum
-    # giving L2(g), with overall weight -1/2: the table's I2(g).
-    return [FixedLocusTerm(2, LocusKind.DEG2_A_MAIN, (g,), l2.I[g], 0)]
-
-
-def _deg2_linB_terms(g: int, l2: HodgeTable) -> list[FixedLocusTerm]:
-    terms = [
-        # 2g+1 copies of the space with the genus on the far side.
-        FixedLocusTerm(2, LocusKind.DEG2_B_INFTY, (g,), (2 * g + 1) * l2.I[g], 0)
-    ]
-    # Genus split g1 = g-i over 0 (psi-power side, count P2) and i over
-    # infinity (L-side); 2i of the 2g+1 free branch points go to the L side.
-    # At i = 0 everything sits over 0 and the far side is the seed L2(0).
-    # Each locus is an L2-recursion summand times P2(g1) = 1/2, so the sum
-    # is -L2(g)/2 exactly when the recursion holds.
+def _deg2_linB_terms(g: int, l2: HodgeTable) -> list[Fraction]:
+    # First F_{.,g}: 2g+1 copies of the space with the genus over infinity.
+    # Then F_{g-i,i}, i = g-1 down to 0: the psi-power side of genus g-i
+    # over 0 carries the count P2(g-i) = 1/2, the L side of genus i over
+    # infinity the value L2(i) (at i = 0, F_{g,.}, the seed L2(0)); 2i of the
+    # 2g+1 free branch points go to the L side.  Each locus is an L2-recursion
+    # summand times P2, so the sum is -L2(g)/2 exactly when it holds.
     recursion = _l2_terms(g, l2.L)
-    for i in reversed(range(g)):
-        g1 = g - i
-        if i > 0:
-            kind, genera = LocusKind.DEG2_B_SPLIT, (g1, i)
-        else:
-            kind, genera = LocusKind.DEG2_B_MAIN, (g,)
-        coeff = recursion[i] * p2_closed(g1)
-        terms.append(FixedLocusTerm(2, kind, genera, coeff, 0))
-    return terms
+    return [(2 * g + 1) * l2.I[g]] + [
+        recursion[i] * p2_closed(g - i) for i in reversed(range(g))
+    ]
 
 
-def _deg3_aux_terms(g: int, l2: HodgeTable, l3: HodgeTable) -> list[FixedLocusTerm]:
+def _deg3_aux_terms(g: int, l2: HodgeTable, l3: HodgeTable) -> list[Fraction]:
+    # Every aux locus sits at hbar^-1.  First the full-ramification family
+    # F_{g-i,i}, i = 0..g: the psi-power side of genus g-i carries the count
+    # P3_full(g-i), the lambda side of genus i the value L3(i); 2i+1 of the
+    # 2g+3 free points sit on the lambda side, gluing multiplicity 3 and
+    # weight 2/9 already folded into the displayed 2/3.  Then the node-bridge
+    # family F_{g-i,i,x} (F_{g,.,.} at i = 0): the transposition side carries
+    # P3_trans(g-i), the double-cover lambda side of genus i the value L2(i).
     assert l3.P_full is not None and l3.P_trans is not None
     weights = _l3_weights(g, l3.P_full, l3.P_trans)
-    terms = []
-    # Full-ramification family: psi-power side of genus g1 = g-i counted by
-    # P3_full, lambda side of genus i contributing L3(i); 2i+1 of the 2g+3
-    # free points sit on the lambda side, gluing multiplicity 3 and weight
-    # 2/9 already folded into the displayed 2/3.
-    for i, (a, _) in enumerate(weights):
-        g1 = g - i
-        if g1 == 0 and g > 0:
-            kind = LocusKind.AUX_ZERO_MAIN
-        elif i == 0:
-            kind = LocusKind.AUX_MAIN_ZERO
-        else:
-            kind = LocusKind.AUX_SPLIT
-        terms.append(FixedLocusTerm(3, kind, (g1, i), a * l3.L[i], -1))
-    # Node-bridge family: transposition-count side of genus g1 = g-i counted
-    # by P3_trans, double-cover lambda side of genus i contributing L2(i).
-    for i, (_, b) in enumerate(weights):
-        g1 = g - i
-        if g1 == 0 and g > 0:
-            kind = LocusKind.AUX_ZERO_MAIN_NODE
-            genera: tuple[int, ...] = (0, g)
-        elif i == 0:
-            kind = LocusKind.AUX_MAIN_NODE
-            genera = (g,)
-        else:
-            kind = LocusKind.AUX_SPLIT_NODE
-            genera = (g1, i)
-        terms.append(FixedLocusTerm(3, kind, genera, b * l2.L[i], -1))
-    return terms
+    return [a * l3.L[i] for i, (a, _) in enumerate(weights)] + [
+        b * l2.L[i] for i, (_, b) in enumerate(weights)
+    ]
 
 
-def _j_loci(g: int, l2: HodgeTable) -> list[FixedLocusTerm]:
-    # One locus per split i (genus over 0) + (g-i) (genus over infinity),
-    # worth the J2 convolution summand 2 C(2g+2, 2i+1) I2(i) I2(g-i).  At
-    # g = 0 the two single-sided end loci are one and the same, so exactly
-    # one term is emitted.
-    summands = _j_terms(2, g, l2.I)
-    terms = []
-    for i in reversed(range(g + 1)):
-        if i == g:
-            kind, genera = LocusKind.J_LEFT, (g,)
-        elif i == 0:
-            kind, genera = LocusKind.J_RIGHT, (g,)
-        else:
-            kind, genera = LocusKind.J_SPLIT, (i, g - i)
-        terms.append(FixedLocusTerm(2, kind, genera, summands[i], 0))
-    return terms
+def _j_loci(g: int, l2: HodgeTable) -> list[Fraction]:
+    # One locus F_{i,g-i} per split, worth the J2 convolution summand
+    # 2 C(2g+2, 2i+1) I2(i) I2(g-i) (a palindrome in i).  The ends are the
+    # single-sided loci F_{g,.} and F_{.,g}; at g = 0 they are one and the
+    # same, so exactly one term is emitted.
+    return _j_terms(2, g, l2.I)
 
 
 def enumerate_loci(
@@ -168,8 +93,8 @@ def enumerate_loci(
     family: str,
     l2: HodgeTable,
     l3: HodgeTable | None = None,
-) -> list[FixedLocusTerm]:
-    """Complete reduced-term catalog for one identity at one genus.
+) -> list[Fraction]:
+    """The reduced catalog of one identity at one genus, a coefficient per locus.
 
     Families: ``linA`` and ``linB`` (degree 2, both linearizations of the
     one-point integral), ``J`` (degree 2, two-point integral), ``aux``
@@ -199,9 +124,8 @@ def enumerate_loci(
 def _loci_sum(
     g: int, family: str, l2: HodgeTable, l3: HodgeTable | None = None
 ) -> Fraction:
-    """Sum of the coefficients of one family's catalog at genus g."""
-    terms = enumerate_loci(g, family, l2, l3)
-    numerators, den = _integer_terms([t.coefficient for t in terms])
+    """Sum of one family's catalog at genus g."""
+    numerators, den = _integer_terms(enumerate_loci(g, family, l2, l3))
     return Fraction(sum(numerator for _, numerator in numerators), den)
 
 

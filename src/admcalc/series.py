@@ -198,8 +198,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            return _div_series(self, other)
+        # Scalars only: a quotient of two series is ``div``.
         c = _as_rational(other)
         if not c:
             raise ZeroDivisionError("division by zero scalar")
@@ -234,8 +233,13 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self._coeffs)!r})"
 
 
-def _div_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    # The one quotient body, behind both ``div`` and ``f / g``.
+def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """Quotient h with h*g = f; orders must match.
+
+    If g has valuation v > 0 then f must be divisible by x^v as well; the
+    common factor is cancelled and the result has order N - v.  With an
+    invertible g (v = 0) the result keeps order N.
+    """
     f._check_order(g)
     n = f.order
     v = g.valuation()
@@ -275,16 +279,6 @@ def _div_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
         nums.append(value.numerator * (q_den // value.denominator))
         out.append(value)
     return TruncatedSeries(out)
-
-
-def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Quotient h with h*g = f, the same as ``f / g``; orders must match.
-
-    If g has valuation v > 0 then f must be divisible by x^v as well; the
-    common factor is cancelled and the result has order N - v.  With an
-    invertible g (v = 0) the result keeps order N.
-    """
-    return _div_series(f, g)
 
 
 def _taylor(a: Scalar, order: int, first: int) -> TruncatedSeries:

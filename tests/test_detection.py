@@ -1,16 +1,17 @@
 """Which ``verify`` suites catch which fault: a fixed detection matrix.
 
 Each row plants one fault and runs every suite at gmax 6, order 13; the
-set of suites that fail must equal the declared one.  A hypothesis test also
-draws a row fault's kind, index and nonzero delta and expects the kind's
-declared set.  A row fault serves perturbed tables, and the true closed
-forms, through the source the suites read.  A term fault patches one
-relation's summand function where both ``hodge`` and ``localization`` read
-it, and the suites read fresh tables from a ``hodge.TableSource``.
+set of suites that fail must equal the declared one.  Two hypothesis tests
+also draw a nonzero delta (row faults) or a multiplier (term faults), apply
+it to every kind at every index 0-4, and expect each kind's declared set.  A row fault serves perturbed tables, and the true closed
+forms, through the source the suites read.  A term fault scales one summand
+of a relation where both ``hodge`` and ``localization`` read it, and the
+suites read fresh tables from a ``hodge.TableSource``.
 ``hurwitz`` reads no table, so no fault here reaches it.
 """
 
 import dataclasses
+from fractions import Fraction as F
 from functools import partial
 
 import pytest
@@ -121,42 +122,101 @@ def test_row_fault_detection(make_tables, expected):
     assert _failing(make_tables()) == expected
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(
-    st.sampled_from(sorted(ROW_KINDS)),
-    st.integers(0, 4),
-    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=100).filter(bool),
-)
-def test_drawn_row_fault_detection(kind, index, delta):
-    make, declared = ROW_KINDS[kind]
-    assert _failing(make(index, delta)) == declared
+# Each drawn delta goes to every kind and index 0-4: 30 derandomized draws of
+# kind and index left two of the five kinds undrawn.
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=100).filter(bool))
+def test_drawn_row_fault_detection(delta):
+    for make, declared in ROW_KINDS.values():
+        for index in range(5):
+            assert _failing(make(index, delta)) == declared
 
 
-def _double_l2_term(terms):
-    return [2 * t if i == 1 else t for i, t in enumerate(terms)]
+def _scaled(index, m):
+    # The relation's summand ``index`` times m.
+    return lambda terms: [m * t if i == index else t for i, t in enumerate(terms)]
 
 
-def _double_l3_b(weights):
-    return [(a, 2 * b) if i == 1 else (a, b) for i, (a, b) in enumerate(weights)]
+def _scaled_weight(slot):
+    # The degree-3 weight a_index (slot 0) or b_index (slot 1) times m.
+    def scaled(index, m):
+        return lambda weights: [
+            tuple(m * w if (i, j) == (index, slot) else w for j, w in enumerate(pair))
+            for i, pair in enumerate(weights)
+        ]
+
+    return scaled
 
 
-TERM_FAULTS = [
-    ("_l2_terms", _double_l2_term,
-     {"rel2", "lab", "ode2", "conjecture", "aspinwall"}),
-    ("_l3_weights", _double_l3_b, {"lab", "ode3", "conjecture", "aspinwall"}),
-    ("_j_terms", _double_l2_term, {"aspinwall"}),
-]
+L3_SUITES = {"lab", "ode3", "conjecture", "aspinwall"}
+
+# Each kind of term fault: the relation it patches, how it scales one
+# summand, and the suites it fails at any index 0-4 and any multiplier other
+# than 1 (but 0 on a_i: see test_zero_pivot_weight_is_unsolvable).
+TERM_KINDS = {
+    "_l2_terms": ("_l2_terms", _scaled, {"rel2", "lab", "ode2", "conjecture", "aspinwall"}),
+    "_l3_weights a": ("_l3_weights", _scaled_weight(0), L3_SUITES),
+    "_l3_weights b": ("_l3_weights", _scaled_weight(1), L3_SUITES),
+    "_j_terms": ("_j_terms", _scaled, {"aspinwall"}),
+}
 
 
-@pytest.mark.parametrize(
-    "name, fault, expected", TERM_FAULTS, ids=[row[0] for row in TERM_FAULTS]
-)
-def test_term_fault_detection(monkeypatch, name, fault, expected):
+def _term_failing(kind, index, m):
+    name, scale, _ = TERM_KINDS[kind]
     true_terms = getattr(hodge, name)
+    fault = scale(index, m)
 
     def faulty(*args):
         return fault(true_terms(*args))
 
-    for module in (hodge, localization):
-        monkeypatch.setattr(module, name, faulty)
-    assert _failing(hodge.TableSource(ORDER + 1)) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (hodge, localization):
+            patch.setattr(module, name, faulty)
+        return _failing(hodge.TableSource(ORDER + 1))
+
+
+def _term(name, kind, index, m, expected=None):
+    return name, kind, index, m, TERM_KINDS[kind][2] if expected is None else expected
+
+
+TERM_FAULTS = [
+    _term("_l2_terms", "_l2_terms", 1, 2),
+    _term("_l3_weights", "_l3_weights b", 1, 2),
+    _term("_j_terms", "_j_terms", 1, 2),
+    # As for row faults, fewer suites reach the top weights: aspinwall stops
+    # below index 5, and only lab reads index 6.
+    _term("_l3_weights a_5", "_l3_weights a", 5, -1, {"conjecture", "lab", "ode3"}),
+    _term("_l3_weights b_5", "_l3_weights b", 5, -1, {"conjecture", "lab", "ode3"}),
+    _term("_l3_weights a_6", "_l3_weights a", 6, F(1, 2), {"lab"}),
+    _term("_l3_weights b_6", "_l3_weights b", 6, F(1, 2), {"lab"}),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, index, m, expected",
+    [row[1:] for row in TERM_FAULTS],
+    ids=[row[0] for row in TERM_FAULTS],
+)
+def test_term_fault_detection(kind, index, m, expected):
+    assert _term_failing(kind, index, m) == expected
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=100).filter(
+        lambda m: m != 1
+    )
+)
+def test_drawn_term_fault_detection(m):
+    # Each drawn multiplier goes to every relation and summand index 0-4.
+    for kind, (_, _, declared) in TERM_KINDS.items():
+        if m or kind != "_l3_weights a":
+            for index in range(5):
+                assert _term_failing(kind, index, m) == declared
+
+
+def test_zero_pivot_weight_is_unsolvable():
+    # a_i is the weight L3(i) is solved by, so with a_i = 0 there is no L3
+    # table to check.
+    with pytest.raises(ZeroDivisionError):
+        _term_failing("_l3_weights a", 2, 0)

@@ -127,13 +127,16 @@ def test_class_images_skip_fixed_points():
 
 
 def test_class_too_deep_to_build_is_refused():
-    # (2^1000) in S_2000 needs one recursion level per transposition, past the
-    # interpreter's stack; building it ends in the bound error at the first
-    # member instead of building any of its ~10^2866 elements.  A count
-    # refuses it earlier, by the size of its class list.
+    # (2^1000) in S_2000 would need one recursion level per transposition,
+    # past the interpreter's stack; both the class and a count are refused
+    # by the size of the class list, before any of its ~10^2866 elements is
+    # built.
     parts = (2,) * 1000
-    with pytest.raises(EnumerationBoundError, match="1000 non-trivial cycles"):
-        next(_class_images(2000, parts))
+    with pytest.raises(EnumerationBoundError, match="class lists"):
+        permutations_with_type(2000, CycleType(parts))
+    # (8, 2, 1) in S_11 has 2,494,800 members, 11 entries each.
+    with pytest.raises(EnumerationBoundError, match="class lists"):
+        permutations_with_type(11, CycleType((8, 2, 1)))
     deep = profile(2000, parts, parts)
     with pytest.raises(EnumerationBoundError, match="class lists"):
         hurwitz_count(deep, max_tuples=10**4000)
