@@ -59,15 +59,13 @@ _I_PER_L = {2: Fraction(-1, 2), 3: Fraction(2, 9)}  # I_d = _I_PER_L[d] * L_d
 class HodgeTable:
     """The solved L-row for one of the two computed degrees; row g is genus g.
 
-    ``P_full``/``P_trans`` hold the branched-cover counts the degree-3 row
-    was solved with and are None at degree 2.  The one- and two-point rows
-    ``I`` and ``J`` are read off ``L`` when first used.
+    The one- and two-point rows ``I`` and ``J`` are read off ``L`` when
+    first used.  The degree-3 row is solved with the cover counts' closed
+    forms, which ``_l3_weights`` reads.
     """
 
     degree: int
     L: list[Fraction]
-    P_full: list[Fraction] | None = None
-    P_trans: list[Fraction] | None = None
 
     @property
     def gmax(self) -> int:
@@ -91,18 +89,18 @@ def p2_closed(g: int) -> Fraction:
     return Fraction(1, 2)
 
 
-def p3_full_closed(g: int) -> Fraction:
+def p3_full_closed(g: int) -> int:
     """Closed form 9^g for the triple-point branched-cover count."""
     if g < 0:
         raise ValueError("genus must be >= 0")
-    return Fraction(9) ** g
+    return 9**g
 
 
-def p3_trans_closed(g: int) -> Fraction:
+def p3_trans_closed(g: int) -> int:
     """Closed form (9^(g+1)-1)/2 for the all-simple branched-cover count."""
     if g < 0:
         raise ValueError("genus must be >= 0")
-    return Fraction(9 ** (g + 1) - 1, 2)
+    return (9 ** (g + 1) - 1) // 2
 
 
 # -- the relations -----------------------------------------------------------
@@ -117,24 +115,19 @@ def _l2_terms(g: int, L2: list[Fraction]) -> list[Fraction]:
     return [(-1) ** (g - i + 1) * comb(2 * g + 1, 2 * i) * L2[i] for i in range(g)]
 
 
-def _l3_weights(
-    g: int, P_full: list[Fraction], P_trans: list[Fraction]
-) -> list[tuple[Fraction, Fraction]]:
+def _l3_weights(g: int) -> list[tuple[Fraction, int]]:
     """Weights (a_i, b_i), i <= g, of the relation sum a_i L3(i) + b_i L2(i) = 0.
 
-    a_i = (2/3) C(2g+3, 2i+1) (-1)^(g-i+1) P_full(g-i) and
-    b_i = C(2g+3, 2i) (-1)^(g-i) P_trans(g-i), each built as one Fraction
-    from integers.
+    a_i = (2/3) C(2g+3, 2i+1) (-1)^(g-i+1) P3_full(g-i) is one Fraction and
+    b_i = C(2g+3, 2i) (-1)^(g-i) P3_trans(g-i) an integer, with the counts
+    read from ``p3_full_closed`` and ``p3_trans_closed``.
     """
     weights = []
     for i in range(g + 1):
         sign = -1 if (g - i) % 2 else 1
-        full, trans = P_full[g - i], P_trans[g - i]
         weights.append((
-            Fraction(-2 * sign * comb(2 * g + 3, 2 * i + 1) * full.numerator,
-                     3 * full.denominator),
-            Fraction(sign * comb(2 * g + 3, 2 * i) * trans.numerator,
-                     trans.denominator),
+            Fraction(-2 * sign * comb(2 * g + 3, 2 * i + 1) * p3_full_closed(g - i), 3),
+            sign * comb(2 * g + 3, 2 * i) * p3_trans_closed(g - i),
         ))
     return weights
 
@@ -170,16 +163,13 @@ def l3_table(l2: HodgeTable) -> HodgeTable:
     solved for L3(g) once all lower entries are known.  No seed value is
     assumed: g = 0 already determines L3(0) = 1.
     """
-    gmax = l2.gmax
-    P_full = [p3_full_closed(g) for g in range(gmax + 1)]
-    P_trans = [p3_trans_closed(g) for g in range(gmax + 1)]
     L3: list[Fraction] = []
-    for g in range(gmax + 1):
-        weights = _l3_weights(g, P_full, P_trans)
+    for g in range(l2.gmax + 1):
+        weights = _l3_weights(g)
         known = sum(a * l3 for (a, _), l3 in zip(weights, L3))
         known += sum(b * value for (_, b), value in zip(weights, l2.L))
         L3.append(-known / weights[g][0])
-    return HodgeTable(degree=3, L=L3, P_full=P_full, P_trans=P_trans)
+    return HodgeTable(degree=3, L=L3)
 
 
 def _genus_for_order(degree: int, order: int) -> int:
@@ -229,7 +219,8 @@ class TableSource:
     built once, by ``conjecture_series`` at the larger of n and
     ``closed_order``, and every request reads a truncation of it, which is
     exact since the series is prefix-stable; a request past the order built
-    builds it again.  Nothing outlives the source.
+    builds it again.  Nothing outlives the source.  Tables, and L rows, exist
+    at degrees 2 and 3 only; any other request raises ValueError.
     """
 
     def __init__(self, order: int, closed_order: int = 0):
@@ -239,6 +230,8 @@ class TableSource:
         self._closed: dict[int, TruncatedSeries] = {}
 
     def __call__(self, degree: int, gmax: int = 0) -> HodgeTable:
+        if degree not in _I_PER_L:
+            raise ValueError(f"tables are solved at degree 2 or 3, not {degree}")
         solved = self._solved
         reach = max(gmax, _genus_for_order(degree, self._order))
         table = solved.get(degree)
@@ -250,6 +243,8 @@ class TableSource:
         return table
 
     def closed_form(self, row: str, degree: int, n: int) -> TruncatedSeries:
+        if row not in ("I", "L", "J") or (row == "L" and degree not in _I_PER_L):
+            raise ValueError(f"no closed form for row {row!r} at degree {degree}")
         i_d = self._closed.get(degree)
         if i_d is None or i_d.order < n:
             i_d = conjecture_series(degree, max(n, self._closed_order))

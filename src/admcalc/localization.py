@@ -17,7 +17,9 @@ normal bundle factors) is not modelled; only the reduced outcome per locus
 is, which is what the identities consume.  A catalog is the list of those
 outcomes, one coefficient per locus: the summands of a relation in
 ``hodge`` (``_l2_terms``, ``_l3_weights``, ``_j_terms``), with the locus of
-each named in a comment beside its builder.  So the linearization check
+each named in a comment beside its builder, and the cover counts are the
+closed forms there; all are looked up on ``hodge`` when called, as the tables
+look them up.  So the linearization check
 (acceptance criterion 5) and the vanishing check (criterion 6) restate the
 L2 and L3 recursions, and ``j2_from_loci`` sums the convolution that builds
 the J2 table; they catch a table that disagrees with its own recursion, not
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .hodge import HodgeTable, _j_terms, _l2_terms, _l3_weights, p2_closed
+from . import hodge
+from .hodge import HodgeTable
 from .series import _integer_terms
 
 __all__ = [
@@ -59,9 +62,9 @@ def _deg2_linB_terms(g: int, l2: HodgeTable) -> list[Fraction]:
     # infinity the value L2(i) (at i = 0, F_{g,.}, the seed L2(0)); 2i of the
     # 2g+1 free branch points go to the L side.  Each locus is an L2-recursion
     # summand times P2, so the sum is -L2(g)/2 exactly when it holds.
-    recursion = _l2_terms(g, l2.L)
+    recursion = hodge._l2_terms(g, l2.L)
     return [(2 * g + 1) * l2.I[g]] + [
-        recursion[i] * p2_closed(g - i) for i in reversed(range(g))
+        recursion[i] * hodge.p2_closed(g - i) for i in reversed(range(g))
     ]
 
 
@@ -73,8 +76,7 @@ def _deg3_aux_terms(g: int, l2: HodgeTable, l3: HodgeTable) -> list[Fraction]:
     # weight 2/9 already folded into the displayed 2/3.  Then the node-bridge
     # family F_{g-i,i,x} (F_{g,.,.} at i = 0): the transposition side carries
     # P3_trans(g-i), the double-cover lambda side of genus i the value L2(i).
-    assert l3.P_full is not None and l3.P_trans is not None
-    weights = _l3_weights(g, l3.P_full, l3.P_trans)
+    weights = hodge._l3_weights(g)
     return [a * l3.L[i] for i, (a, _) in enumerate(weights)] + [
         b * l2.L[i] for i, (_, b) in enumerate(weights)
     ]
@@ -85,7 +87,7 @@ def _j_loci(g: int, l2: HodgeTable) -> list[Fraction]:
     # 2 C(2g+2, 2i+1) I2(i) I2(g-i) (a palindrome in i).  The ends are the
     # single-sided loci F_{g,.} and F_{.,g}; at g = 0 they are one and the
     # same, so exactly one term is emitted.
-    return _j_terms(2, g, l2.I)
+    return hodge._j_terms(2, g, l2.I)
 
 
 def enumerate_loci(
@@ -100,7 +102,8 @@ def enumerate_loci(
     one-point integral), ``J`` (degree 2, two-point integral), ``aux``
     (degree 3, vanishing auxiliary integral); the family fixes the degree.
     Every family reads the L2 table ``l2``; ``aux`` also reads the L3 table
-    ``l3`` and the P rows it was solved with.  The tables must reach genus
+    ``l3``.  The cover counts come from their closed forms in ``hodge``, as
+    they do for the tables.  The tables must reach genus
     g; a perturbed table (made with ``dataclasses.replace``) probes what the
     identity detects.
     """

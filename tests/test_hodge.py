@@ -3,8 +3,6 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from admcalc.hodge import (
     TableSource,
@@ -38,15 +36,14 @@ def test_l2_spot_values():
     t = l2_table(3)
     assert [t.L[g] for g in range(4)] == [F(1, 2), F(1, 4), F(1, 2), F(17, 8)]
     assert t.degree == 2 and t.gmax == 3
-    assert t.P_full is None and t.P_trans is None
+    assert [field.name for field in dataclasses.fields(t)] == ["degree", "L"]
 
 
 def test_l3_spot_values():
     t = l3_table(l2_table(3))
     assert [t.L[g] for g in range(3)] == [1, 3, 21]
     assert t.L[3] == F(809, 3)
-    assert t.P_full == [9**g for g in range(4)]
-    assert t.P_trans == [F(9 ** (g + 1) - 1, 2) for g in range(4)]
+    assert [field.name for field in dataclasses.fields(t)] == ["degree", "L"]
 
 
 def test_table_invariants():
@@ -60,27 +57,24 @@ def test_table_invariants():
     assert t3.I[0] == F(2, 9) and t3.J[0] == F(8, 9)
 
 
-def three_product_l3_weights(g, P_full, P_trans):
-    """The degree-3 weights as the relation writes them: three products each."""
+def three_product_l3_weights(g):
+    """The degree-3 weights as the relation writes them: three products each,
+    with the counts P3_full(k) = 9^k and P3_trans(k) = (9^(k+1)-1)/2."""
     return [
         (
             Fraction(2, 3) * comb(2 * g + 3, 2 * i + 1)
-            * (-1) ** (g - i + 1) * P_full[g - i],
-            comb(2 * g + 3, 2 * i) * (-1) ** (g - i) * P_trans[g - i],
+            * (-1) ** (g - i + 1) * 9 ** (g - i),
+            comb(2 * g + 3, 2 * i) * (-1) ** (g - i) * Fraction(9 ** (g - i + 1) - 1, 2),
         )
         for i in range(g + 1)
     ]
 
 
-P_VALUES = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
-
-
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 25), st.data())
-def test_l3_weights_match_the_three_products(g, data):
-    row = st.lists(P_VALUES, min_size=g + 1, max_size=g + 1)
-    P_full, P_trans = data.draw(row), data.draw(row)
-    assert _l3_weights(g, P_full, P_trans) == three_product_l3_weights(g, P_full, P_trans)
+def test_l3_weights_match_the_three_products():
+    for g in range(26):
+        weights = _l3_weights(g)
+        assert weights == three_product_l3_weights(g)
+        assert all(type(b) is int for _, b in weights)
 
 
 @pytest.mark.parametrize("degree", [2, 3], ids=["l2_table", "l3_table"])
@@ -263,6 +257,28 @@ def test_table_source_closed_forms_are_truncations():
     assert source.closed_form("J", 3, 20) == TableSource(0).closed_form("J", 3, 20)
     # A request past the order built builds the degree again.
     assert source.closed_form("J", 2, 31) == TableSource(0).closed_form("J", 2, 31)
+
+
+def test_table_source_refuses_other_degrees():
+    for degree in (1, 4):
+        with pytest.raises(ValueError, match=f"not {degree}$"):
+            TableSource(10)(degree)
+
+
+def test_closed_form_refuses_unknown_rows():
+    for row in ("X", "P", "l"):
+        with pytest.raises(ValueError, match=f"row {row!r}"):
+            TableSource(0).closed_form(row, 2, 5)
+
+
+@pytest.mark.parametrize("degree", [1, 4])
+def test_closed_form_refuses_l_rows_outside_two_and_three(degree):
+    with pytest.raises(ValueError, match=f"row 'L' at degree {degree}"):
+        TableSource(0).closed_form("L", degree, 5)
+    # The I and J rows exist at every degree the closed form does.
+    assert TableSource(0).closed_form("J", degree, 9) == (
+        degree * conjecture_series(degree, 9) ** 2
+    )
 
 
 def test_conjecture_validation():
