@@ -19,6 +19,12 @@ closed form covers both degrees (and conjecturally all d >= 1):
 
 It is the only closed form computed here; the L and J closed forms are its
 scalings and squares, and a test checks the proven spellings above against it.
+
+The degree-3 relation and the J convolution are summed in integers: each
+table row has an integer form, its numerators over their lcm, and the
+degree-3 weights are the integers of 3 times the relation.  Each L3 value
+and J value is then one integer sum and one Fraction, as in the series
+kernel.  The L2 recursion still adds Fractions.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 
 from .series import TruncatedSeries, cos_scaled, div, egf_value, sin_scaled
 
@@ -60,8 +66,9 @@ class HodgeTable:
     """The solved L-row for one of the two computed degrees; row g is genus g.
 
     The one- and two-point rows ``I`` and ``J`` are read off ``L`` when
-    first used.  The degree-3 row is solved with the cover counts' closed
-    forms, which ``_l3_weights`` reads.
+    first used, and so are the integer forms ``L_int`` and ``I_int`` that
+    the relation sums read.  The degree-3 row is solved with the cover
+    counts' closed forms, which ``_l3_weights`` reads.
     """
 
     degree: int
@@ -78,8 +85,33 @@ class HodgeTable:
 
     @cached_property
     def J(self) -> list[Fraction]:
-        """J_d(g), the EGF coefficients of d * I_d^2."""
-        return [sum(_j_terms(self.degree, g, self.I)) for g in range(len(self.L))]
+        """J_d(g), the EGF coefficients of d * I_d^2.
+
+        ``_j_terms`` is quadratic in the row, so on the numerators of
+        ``I_int`` its sum is J_d(g) times den^2: one integer convolution and
+        one Fraction per genus.
+        """
+        numerators, den = self.I_int
+        square = den * den
+        return [
+            Fraction(sum(_j_terms(self.degree, g, numerators)), square)
+            for g in range(len(self.L))
+        ]
+
+    @cached_property
+    def L_int(self) -> tuple[list[int], int]:
+        """``L`` as integer numerators over their lcm denominator."""
+        return _over_lcm(self.L)
+
+    @cached_property
+    def I_int(self) -> tuple[list[int], int]:
+        """``I`` as integer numerators over their lcm denominator."""
+        return _over_lcm(self.I)
+
+
+def _over_lcm(row: list[Fraction]) -> tuple[list[int], int]:
+    den = lcm(*(value.denominator for value in row))
+    return [value.numerator * (den // value.denominator) for value in row], den
 
 
 def p2_closed(g: int) -> Fraction:
@@ -115,19 +147,20 @@ def _l2_terms(g: int, L2: list[Fraction]) -> list[Fraction]:
     return [(-1) ** (g - i + 1) * comb(2 * g + 1, 2 * i) * L2[i] for i in range(g)]
 
 
-def _l3_weights(g: int) -> list[tuple[Fraction, int]]:
-    """Weights (a_i, b_i), i <= g, of the relation sum a_i L3(i) + b_i L2(i) = 0.
+def _l3_weights(g: int) -> list[tuple[int, int]]:
+    """Integer weights (a_i, b_i), i <= g, of 3 times the degree-3 relation:
+    sum a_i L3(i) + b_i L2(i) = 0.
 
-    a_i = (2/3) C(2g+3, 2i+1) (-1)^(g-i+1) P3_full(g-i) is one Fraction and
-    b_i = C(2g+3, 2i) (-1)^(g-i) P3_trans(g-i) an integer, with the counts
-    read from ``p3_full_closed`` and ``p3_trans_closed``.
+    a_i = -2 C(2g+3, 2i+1) (-1)^(g-i) P3_full(g-i) and
+    b_i = 3 C(2g+3, 2i) (-1)^(g-i) P3_trans(g-i), with the counts read from
+    ``p3_full_closed`` and ``p3_trans_closed``.
     """
     weights = []
     for i in range(g + 1):
         sign = -1 if (g - i) % 2 else 1
         weights.append((
-            Fraction(-2 * sign * comb(2 * g + 3, 2 * i + 1) * p3_full_closed(g - i), 3),
-            sign * comb(2 * g + 3, 2 * i) * p3_trans_closed(g - i),
+            -2 * sign * comb(2 * g + 3, 2 * i + 1) * p3_full_closed(g - i),
+            3 * sign * comb(2 * g + 3, 2 * i) * p3_trans_closed(g - i),
         ))
     return weights
 
@@ -159,16 +192,29 @@ def l3_table(l2: HodgeTable) -> HodgeTable:
     of the L2 table given.
 
     The genus-g instance of the relation involves L3(i) and L2(i) for
-    i <= g; the i = g weight -(2/3) C(2g+3, 2) is nonzero, so it can be
+    i <= g; the i = g weight -2 C(2g+3, 2) is nonzero, so it can be
     solved for L3(g) once all lower entries are known.  No seed value is
     assumed: g = 0 already determines L3(0) = 1.
+
+    Both rows are summed in integers: L2 as ``l2.L_int`` and the L3 solved
+    so far as numerators over their running lcm, so each genus takes two
+    integer dot products and one Fraction, as ``series.div`` does.
     """
+    l2_nums, l2_den = l2.L_int
     L3: list[Fraction] = []
+    nums: list[int] = []
+    den = 1
     for g in range(l2.gmax + 1):
         weights = _l3_weights(g)
-        known = sum(a * l3 for (a, _), l3 in zip(weights, L3))
-        known += sum(b * value for (_, b), value in zip(weights, l2.L))
-        L3.append(-known / weights[g][0])
+        known3 = sum(a * num for (a, _), num in zip(weights, nums))
+        known2 = sum(b * num for (_, b), num in zip(weights, l2_nums))
+        value = Fraction(-(known3 * l2_den + known2 * den), l2_den * den * weights[g][0])
+        if den % value.denominator:
+            new_den = lcm(den, value.denominator)
+            nums = [num * (new_den // den) for num in nums]
+            den = new_den
+        nums.append(value.numerator * (den // value.denominator))
+        L3.append(value)
     return HodgeTable(degree=3, L=L3)
 
 

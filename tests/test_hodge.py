@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admcalc.hodge import (
     TableSource,
@@ -71,10 +73,64 @@ def three_product_l3_weights(g):
 
 
 def test_l3_weights_match_the_three_products():
+    # The weights are those of 3 times the relation, in integers.
     for g in range(26):
         weights = _l3_weights(g)
-        assert weights == three_product_l3_weights(g)
-        assert all(type(b) is int for _, b in weights)
+        assert weights == [(3 * a, 3 * b) for a, b in three_product_l3_weights(g)]
+        assert all(type(w) is int for pair in weights for w in pair)
+
+
+# The tables sum their relations in integers over a common denominator;
+# these oracles solve and convolve one Fraction at a time, on rows with one
+# entry bumped by a drawn delta or set to zero, so the rows carry
+# denominators, signs and zeros that no true row has.
+T2 = l2_table(12)
+T3 = l3_table(T2)
+DIFFERENTIAL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+BUMP = st.tuples(
+    st.integers(0, 12),
+    st.fractions(min_value=-100, max_value=100, max_denominator=50),
+    st.booleans(),
+)
+
+
+def bumped(table, bump):
+    k, delta, zero = bump
+    values = list(table.L)
+    values[k] = F(0) if zero else values[k] + delta
+    return dataclasses.replace(table, L=values)
+
+
+def schoolbook_l3(l2_row):
+    L3 = []
+    for g in range(len(l2_row)):
+        weights = three_product_l3_weights(g)
+        known = sum((a * L3[i] for i, (a, _) in enumerate(weights[:g])), F(0))
+        known += sum(b * l2_row[i] for i, (_, b) in enumerate(weights))
+        L3.append(-known / weights[g][0])
+    return L3
+
+
+def fraction_convolution(d, I):
+    return [
+        sum(d * comb(2 * g + 2 * d - 2, 2 * i + d - 1) * I[i] * I[g - i]
+            for i in range(g + 1))
+        for g in range(len(I))
+    ]
+
+
+@DIFFERENTIAL
+@given(BUMP)
+def test_l3_table_matches_the_schoolbook_solve(bump):
+    l2 = bumped(T2, bump)
+    assert l3_table(l2).L == schoolbook_l3(l2.L)
+
+
+@DIFFERENTIAL
+@given(st.sampled_from([T2, T3]), BUMP)
+def test_j_row_matches_the_fraction_convolution(table, bump):
+    t = bumped(table, bump)
+    assert t.J == fraction_convolution(t.degree, t.I)
 
 
 @pytest.mark.parametrize("degree", [2, 3], ids=["l2_table", "l3_table"])

@@ -20,7 +20,9 @@ def test_public_names_resolve(name):
 
 def test_traced_benchmark_installs():
     # The traced benchmark run wraps package functions by the names it looks
-    # up; a renamed or deleted one breaks its install.
+    # up; a renamed or deleted one breaks its install.  The identities sum
+    # their catalogs' numerators without ``enumerate_loci``, so no command
+    # reaches its wrap and the script calls it directly.
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(str(root / part) for part in ("src", "perfbench"))
     script = (
@@ -35,6 +37,8 @@ def test_traced_benchmark_installs():
         "assert cli.run(['verify', '--all', '--gmax', '3', '--order', '21']) == 0\n"
         "assert tracer.n['hodge.table_calls'] == calls + 2\n"
         "assert cli.run(['series', '--what', 'J', '--degree', '3']) == 0\n"
+        "from admcalc import hodge, localization\n"
+        "localization.enumerate_loci(1, 'J', hodge.l2_table(1))\n"
         "assert tracer.n['localization.terms'] > 0\n"
     )
     result = subprocess.run(
