@@ -10,22 +10,27 @@ so they are rationals, not integers.
 Enumeration folds the first n-1 slots from left to right.  The state after
 a slot is the running product and, for connected counts, the partition of
 the sheets into the orbits of the permutations so far; tuples that reach
-the same state are kept once, with their multiplicity.  The last
-permutation is forced (it inverts the product), so closing the fold checks
-its cycle type and, for connected counts, that it joins the orbits into
-one.  Each conjugacy class is built directly from its cycle structure,
+the same state are kept once, with their multiplicity.  Simultaneous
+conjugation keeps the classes, the product and transitivity, so every
+member of a class has as many completions: the largest class among the
+first n-1 is fixed to one member, which starts the fold, and its tuples
+are counted |C| times.
+The last permutation is forced (it inverts the product), so closing the
+fold checks its cycle type and, for connected counts, that it joins the
+orbits into one.  Each conjugacy class is built from its cycle structure,
 never by scanning S_d: its moved points are chosen first, then its cycles
 are placed among them, one recursion level per non-trivial cycle.
 
 A hard bound on the raw search space, the product of the first n-1
 conjugacy class sizes, guards against accidental explosions.  It counts the
-tuples the fold stands for; no slot of the fold holds more states than that.
-A second, fixed bound caps the memory of the class lists: their entries,
-the sum of |C| * d over the distinct classes built, may not pass
-MAX_CLASS_ENTRIES; ``permutations_with_type`` holds one class to the same
-bound.  Under it a class has at most 7 non-trivial cycles (the least with
-8, eight transpositions in S_16, has 2,027,025 members of 16 entries), so
-the recursion that builds a class stays shallow.
+tuples the fold stands for, so it overstates the fold's work by the size of
+the fixed class.  A second, fixed bound caps the memory of the class lists:
+their entries, the sum of |C| * d over the distinct classes of the first
+n-1 points (the fixed one included), may not pass MAX_CLASS_ENTRIES;
+``permutations_with_type`` holds one class to the same bound.  Under it a
+class has at most 7 non-trivial cycles (the least with 8, eight
+transpositions in S_16, has 2,027,025 members of 16 entries), so the
+recursion that builds a class stays shallow.
 """
 
 from __future__ import annotations
@@ -249,9 +254,7 @@ def hurwitz_count(
         # (The fold needs d >= 2: itemgetter of one index is no tuple.)
         return weight
 
-    classes = {parts: list(_class_images(d, parts)) for parts in set(types[:-1])}
     last_type = types[-1]
-
     single_block = (0,) * d
     merge_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
 
@@ -266,8 +269,18 @@ def hurwitz_count(
         return got
 
     identity = tuple(range(d))
-    states = {(identity, identity if connected else single_block): 1}
-    for parts in types[:-1]:
+    start = (identity, identity if connected else single_block)
+    folded_types = types[:-1]
+    if sizes:
+        # The fixed class: one member starts the fold, counted |C| times.
+        fixed = max(sizes, key=sizes.get)
+        folded_types.remove(fixed)
+        rho = next(_class_images(d, fixed))
+        start = (rho, merged(start[1], rho))
+        weight *= sizes[fixed]
+    classes = {parts: list(_class_images(d, parts)) for parts in set(folded_types)}
+    states = {start: 1}
+    for parts in folded_types:
         folded: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for (product, part), multiplicity in states.items():
             compose = itemgetter(*product)  # images -> images o product
@@ -289,7 +302,7 @@ def hurwitz_count(
 
 
 def _uniform_profile(d: int, parts: tuple[int, ...], n: int) -> BranchProfile:
-    return BranchProfile(d, tuple(CycleType(parts) for _ in range(n)))
+    return BranchProfile(d, (CycleType(parts),) * n)
 
 
 def p2(g: int) -> Fraction:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 from itertools import permutations as orderings
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admcalc import hurwitz
 from admcalc.hurwitz import (
     BranchProfile,
     CycleType,
@@ -140,6 +142,10 @@ def test_class_too_deep_to_build_is_refused():
     deep = profile(2000, parts, parts)
     with pytest.raises(EnumerationBoundError, match="class lists"):
         hurwitz_count(deep, max_tuples=10**4000)
+    # The count would build one 11-cycle, but the bound counts the whole
+    # class of the first point: 11 * 10! entries.
+    with pytest.raises(EnumerationBoundError, match="class lists"):
+        hurwitz_count(profile(11, (11,), (11,)))
 
 
 # -- counting: frozen examples ---------------------------------------------
@@ -154,6 +160,10 @@ def test_known_counts():
         hurwitz_count(profile(3, (2, 1), (2, 1), (2, 1), (2, 1)), connected=False)
         == Fraction(9, 2)
     )
+    # Cheap since one class is fixed to one member (the fold over every
+    # member took 20-40 s).  Three odd permutations cannot multiply to 1.
+    assert hurwitz_count(profile(8, (8,), (8,), (8,))) == 0
+    assert hurwitz_count(profile(9, (3, 3, 3), (3, 3, 3), (3, 3, 3))) == Fraction(4, 9)
 
 
 def test_empty_profile():
@@ -237,6 +247,46 @@ def test_fold_matches_product_oracle(drawn, connected):
     )
 
 
+PARTITIONS_5 = [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1,) * 5]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.sampled_from(PARTITIONS_5), min_size=2, max_size=3), st.booleans()
+)
+def test_fixed_class_matches_product_oracle_at_degree_5(types, connected):
+    # The drawn test above stops at degree 4, where a fixed class has at
+    # most 8 members; at degree 5 it has up to 30.
+    assert hurwitz_count(profile(5, *types), connected) == oracle_count(
+        5, types, connected
+    )
+
+
+def spy_class_images(monkeypatch):
+    """Patch ``_class_images`` to record how many members each class yields."""
+    built = Counter()
+
+    def spy(d, parts):
+        for images in _class_images(d, parts):
+            built[parts] += 1
+            yield images
+
+    monkeypatch.setattr(hurwitz, "_class_images", spy)
+    return built
+
+
+def test_one_class_is_fixed_to_one_member(monkeypatch):
+    built = spy_class_images(monkeypatch)
+    assert hurwitz_count(profile(9, (9,), (9,))) == Fraction(1, 9)
+    assert built == {(9,): 1}
+
+    # The 7-cycles, the largest class, give one member; the other class is
+    # listed whole, once.
+    built = spy_class_images(monkeypatch)
+    assert hurwitz_count(profile(7, (7,), (2, 1, 1, 1, 1, 1), (6, 1))) == 1
+    assert built == {(7,): 1, (2, 1, 1, 1, 1, 1): 21}
+
+
 # -- guardrail -------------------------------------------------------------
 
 
@@ -245,6 +295,11 @@ def test_enumeration_bound():
     with pytest.raises(EnumerationBoundError):
         hurwitz_count(big, max_tuples=26)
     assert hurwitz_count(big, max_tuples=27) == 4
+    # Still the product of the first n-1 class sizes, the fixed class's too.
+    eights = profile(8, (8,), (8,), (8,))
+    with pytest.raises(EnumerationBoundError, match="exceeds the bound"):
+        hurwitz_count(eights, max_tuples=5040**2 - 1)
+    assert hurwitz_count(eights, max_tuples=5040**2) == 0
     with pytest.raises(ValueError, match="max_tuples must be >= 0"):
         hurwitz_count(big, max_tuples=-1)
 
