@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (all suites pass), 1 verification failure, 2 usage or
 resource-bound error.  Rationals are always printed as exact "p/q" strings,
-never as floats.
+never as floats.  A table or series result is the dict that the json format
+prints; the text and csv formats read the same dict.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from typing import NoReturn
 
@@ -30,74 +29,55 @@ from .hurwitz import (
 )
 from .series import TruncatedSeries, egf_value
 
-__all__ = ["OutputRecord", "run", "main"]
+__all__ = ["run", "main"]
 
 
-@dataclass
-class OutputRecord:
-    """One emitted result: a table or a series."""
-
-    kind: str  # table | series
-    what: str
-    degree: int | None = None
-    order: int | None = None
-    gmax: int | None = None
-    payload: list[tuple[int, str]] = field(default_factory=list)
-    note: str | None = None
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "what": self.what}
-        for key in ("degree", "order", "gmax"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        out["payload"] = [[i, v] for i, v in self.payload]
-        if self.note is not None:
-            out["note"] = self.note
-        return out
+def _record(kind: str, what: str, degree: int, size: int, values, note=None) -> dict:
+    """One result as the dict the json format prints, and the text and csv
+    formats read.  ``size`` is a series' order or a table's gmax; a table's
+    payload lists every genus, a series' only its nonzero coefficients."""
+    record = {
+        "kind": kind, "what": what, "degree": degree,
+        "order" if kind == "series" else "gmax": size,
+        "payload": [[i, str(v)] for i, v in enumerate(values) if v or kind == "table"],
+    }
+    if note is not None:
+        record["note"] = note
+    return record
 
 
-def _series_payload(s: TruncatedSeries) -> list[tuple[int, str]]:
-    return [(k, str(c)) for k, c in enumerate(s.coeffs) if c]
+def _render_json(records: list[dict]) -> str:
+    return json.dumps(records[0] if len(records) == 1 else records, indent=2) + "\n"
 
 
-def _table_payload(row: list[Fraction]) -> list[tuple[int, str]]:
-    return [(g, str(value)) for g, value in enumerate(row)]
-
-
-def _render_json(records: list[OutputRecord]) -> str:
-    data = records[0].to_dict() if len(records) == 1 else [r.to_dict() for r in records]
-    return json.dumps(data, indent=2) + "\n"
-
-
-def _render_csv(records: list[OutputRecord]) -> str:
+def _render_csv(records: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["kind", "what", "degree", "index", "value"])
     for r in records:
-        for index, value in r.payload:
-            writer.writerow([r.kind, r.what, "" if r.degree is None else r.degree, index, value])
+        for index, value in r["payload"]:
+            writer.writerow([r["kind"], r["what"], r["degree"], index, value])
     return buf.getvalue()
 
 
-def _render_text(records: list[OutputRecord]) -> str:
+def _render_text(records: list[dict]) -> str:
     lines = []
     for r in records:
-        head = r.to_dict()
-        del head["payload"]
-        note = f" ({head.pop('note')})" if "note" in head else ""
-        kind = head.pop("kind")
-        fields = " ".join(f"{key}={value}" for key, value in head.items())
-        lines.append(f"# {kind} {fields}{note}")
-        prefix = "g=" if r.kind == "table" else "x^"
-        lines.extend(f"{prefix}{index}: {value}" for index, value in r.payload)
+        fields = " ".join(
+            f"{key}={value}" for key, value in r.items()
+            if key not in ("kind", "payload", "note")
+        )
+        note = f" ({r['note']})" if "note" in r else ""
+        lines.append(f"# {r['kind']} {fields}{note}")
+        prefix = "g=" if r["kind"] == "table" else "x^"
+        lines.extend(f"{prefix}{index}: {value}" for index, value in r["payload"])
     return "\n".join(lines) + "\n"
 
 
 _RENDERERS = {"json": _render_json, "csv": _render_csv, "text": _render_text}
 
 
-def _emit(records: list[OutputRecord], fmt: str, output: str | None) -> int:
+def _emit(records: list[dict], fmt: str, output: str | None) -> int:
     text = _RENDERERS[fmt](records)
     if output is None:
         sys.stdout.write(text)
@@ -217,35 +197,23 @@ def _cmd_series(args: argparse.Namespace) -> int:
     d, n = args.degree, args.order
     if n < 0:
         return _usage_error("order must be >= 0")
-    records: list[OutputRecord] = []
     if args.what == "conjecture":
-        record = OutputRecord(
-            "series", "conjecture", degree=d, order=n,
-            payload=_series_payload(hodge.conjecture_series(d, n)),
-        )
-        if d >= 4:
-            record.note = "conjectural"
-        records.append(record)
+        s = hodge.conjecture_series(d, n)
+        note = "conjectural" if d >= 4 else None
+        records = [_record("series", "conjecture", d, n, s.coeffs, note)]
     elif args.what == "P":
         if d != 3:
             return _usage_error("P series are only defined for degree 3")
-        records.append(
-            OutputRecord("series", "P3full", degree=3, order=n,
-                         payload=_series_payload(hodge.p3_full_series(n)))
-        )
-        records.append(
-            OutputRecord("series", "P3trans", degree=3, order=n,
-                         payload=_series_payload(hodge.p3_trans_series(n)))
-        )
+        records = [
+            _record("series", "P3full", 3, n, hodge.p3_full_series(n).coeffs),
+            _record("series", "P3trans", 3, n, hodge.p3_trans_series(n).coeffs),
+        ]
     else:
         if d not in (2, 3):
             return _usage_error(f"--what {args.what} needs degree 2 or 3")
         rows = {"I": hodge.i_series, "J": hodge.j_series, "L": hodge.l_series}
         s = rows[args.what](hodge.TableSource(n)(d), n)
-        records.append(
-            OutputRecord("series", args.what, degree=d, order=n,
-                         payload=_series_payload(s))
-        )
+        records = [_record("series", args.what, d, n, s.coeffs)]
     return _emit(records, args.format, args.output)
 
 
@@ -270,10 +238,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         row = [_P_CLOSED[what](g) for g in range(gmax + 1)]
     else:
         row = getattr(hodge.TableSource(0)(degree, gmax), what[0])
-    record = OutputRecord(
-        "table", what, degree=degree, gmax=gmax, payload=_table_payload(row)
-    )
-    return _emit([record], args.format, args.output)
+    return _emit([_record("table", what, degree, gmax, row)], args.format, args.output)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -20,11 +20,13 @@ closed form covers both degrees (and conjecturally all d >= 1):
 It is the only closed form computed here; the L and J closed forms are its
 scalings and squares, and a test checks the proven spellings above against it.
 
-The degree-3 relation and the J convolution are summed in integers: each
-table row has an integer form, its numerators over their lcm, and the
-degree-3 weights are the integers of 3 times the relation.  Each L3 value
-and J value is then one integer sum and one Fraction, as in the series
-kernel.  The L2 recursion still adds Fractions.
+The degree-3 relation and the J convolution are summed in integers with the
+series kernel's two row helpers: ``over_lcm`` gives each row its integer
+form, and ``l3_table`` grows L3 by ``append_over_lcm`` as ``div`` grows a
+quotient.  The degree-3 weights are the integers of 3 times the relation, and
+``_j_numerators`` gives the J row and the two-point loci one sum.  Each L3
+and J value is then one integer sum and one Fraction.  The L2 recursion still
+adds Fractions.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb
 
 from .series import TruncatedSeries, cos_scaled, div, egf_value, sin_scaled
+from .series import append_over_lcm, over_lcm
 
 __all__ = [
     "HodgeTable",
@@ -85,33 +88,19 @@ class HodgeTable:
 
     @cached_property
     def J(self) -> list[Fraction]:
-        """J_d(g), the EGF coefficients of d * I_d^2.
-
-        ``_j_terms`` is quadratic in the row, so on the numerators of
-        ``I_int`` its sum is J_d(g) times den^2: one integer convolution and
-        one Fraction per genus.
-        """
-        numerators, den = self.I_int
-        square = den * den
-        return [
-            Fraction(sum(_j_terms(self.degree, g, numerators)), square)
-            for g in range(len(self.L))
-        ]
+        """J_d(g), the EGF coefficients of d * I_d^2, from ``_j_numerators``."""
+        summands = (_j_numerators(self, g) for g in range(len(self.L)))
+        return [Fraction(sum(terms), den) for terms, den in summands]
 
     @cached_property
     def L_int(self) -> tuple[list[int], int]:
         """``L`` as integer numerators over their lcm denominator."""
-        return _over_lcm(self.L)
+        return over_lcm(self.L)
 
     @cached_property
     def I_int(self) -> tuple[list[int], int]:
         """``I`` as integer numerators over their lcm denominator."""
-        return _over_lcm(self.I)
-
-
-def _over_lcm(row: list[Fraction]) -> tuple[list[int], int]:
-    den = lcm(*(value.denominator for value in row))
-    return [value.numerator * (den // value.denominator) for value in row], den
+        return over_lcm(self.I)
 
 
 def p2_closed(g: int) -> Fraction:
@@ -177,6 +166,13 @@ def _j_terms(d: int, g: int, I: list[Fraction]) -> list[Fraction]:
     ]
 
 
+def _j_numerators(table: HodgeTable, g: int) -> tuple[list[int], int]:
+    """J_d(g)'s summands ``_j_terms`` on the numerators of ``table.I_int``, over
+    den^2 since the sum is quadratic in the row; the J row and loci read them."""
+    numerators, den = table.I_int
+    return _j_terms(table.degree, g, numerators), den * den
+
+
 def l2_table(gmax: int) -> HodgeTable:
     """L2 for all genera up to gmax, from the recursion."""
     if gmax < 0:
@@ -197,8 +193,8 @@ def l3_table(l2: HodgeTable) -> HodgeTable:
     assumed: g = 0 already determines L3(0) = 1.
 
     Both rows are summed in integers: L2 as ``l2.L_int`` and the L3 solved
-    so far as numerators over their running lcm, so each genus takes two
-    integer dot products and one Fraction, as ``series.div`` does.
+    so far over its running lcm, by ``append_over_lcm`` as in ``series.div``,
+    so each genus takes two integer dot products and one Fraction.
     """
     l2_nums, l2_den = l2.L_int
     L3: list[Fraction] = []
@@ -208,12 +204,9 @@ def l3_table(l2: HodgeTable) -> HodgeTable:
         weights = _l3_weights(g)
         known3 = sum(a * num for (a, _), num in zip(weights, nums))
         known2 = sum(b * num for (_, b), num in zip(weights, l2_nums))
-        value = Fraction(-(known3 * l2_den + known2 * den), l2_den * den * weights[g][0])
-        if den % value.denominator:
-            new_den = lcm(den, value.denominator)
-            nums = [num * (new_den // den) for num in nums]
-            den = new_den
-        nums.append(value.numerator * (den // value.denominator))
+        value, den = append_over_lcm(
+            nums, den, -(known3 * l2_den + known2 * den), l2_den * den * weights[g][0]
+        )
         L3.append(value)
     return HodgeTable(degree=3, L=L3)
 

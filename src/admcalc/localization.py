@@ -19,11 +19,11 @@ outcomes, one coefficient per locus: the summands of a relation in
 ``hodge`` (``_l2_terms``, ``_l3_weights``, ``_j_terms``), with the locus of
 each named in a comment beside its builder, and the cover counts are the
 closed forms there; all are looked up on ``hodge`` when called, as the tables
-look them up.  So the linearization check
-(acceptance criterion 5) and the vanishing check (criterion 6) restate the
-L2 and L3 recursions, and ``j2_from_loci`` sums the convolution that builds
-the J2 table; they catch a table that disagrees with its own recursion, not
-an error in the recursion itself.
+look them up.  So the linearization check (acceptance criterion 5) and the
+vanishing check (criterion 6) restate the L2 and L3 recursions, and
+``j2_from_loci`` sums the terms that build the J2 table,
+``hodge._j_numerators``; they catch a table that disagrees with its own
+recursion, not an error in the recursion itself.
 
 A catalog builder states one denominator and yields each locus as an
 integer numerator over it, read off the tables' integer rows (``L_int``,
@@ -106,10 +106,8 @@ def _j_loci(g: int, l2: HodgeTable) -> Catalog:
     # One locus F_{i,g-i} per split, worth the J2 convolution summand
     # 2 C(2g+2, 2i+1) I2(i) I2(g-i) (a palindrome in i).  The ends are the
     # single-sided loci F_{g,.} and F_{.,g}; at g = 0 they are one and the
-    # same, so exactly one term is emitted.  The convolution is quadratic in
-    # the row, so on numerators it is over the square of their denominator.
-    i_nums, i_den = l2.I_int
-    return hodge._j_terms(2, g, i_nums), i_den * i_den
+    # same, so exactly one term is emitted.  The J2 row sums the same terms.
+    return hodge._j_numerators(l2, g)
 
 
 def _catalog(

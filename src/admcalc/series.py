@@ -5,7 +5,10 @@ floating point.  A series is made from its full coefficient list, and its
 truncation order N (the largest tracked exponent) is one less than the list's
 length; each operation states the order of its result.  Products and
 quotients of two series sum integer numerators over a common denominator and
-build one ``Fraction`` per coefficient.  Binary operations insist on equal
+build one ``Fraction`` per coefficient.  The two integer-row helpers are
+public, since ``hodge`` solves its tables with them too: ``over_lcm`` puts a
+row over its lcm, and ``append_over_lcm`` grows a row one value at a time, as
+``div`` grows its quotient.  Binary operations insist on equal
 orders, so order bookkeeping mistakes surface as errors instead of silently
 wrong tails.
 """
@@ -23,6 +26,8 @@ __all__ = [
     "OrderMismatchError",
     "SeriesDivisionError",
     "div",
+    "over_lcm",
+    "append_over_lcm",
     "sin_scaled",
     "cos_scaled",
     "egf_value",
@@ -49,11 +54,29 @@ def _as_rational(value: Scalar) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as a rational coefficient")
 
 
+def over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` as integer numerators over their lcm denominator."""
+    den = math.lcm(*(value.denominator for value in values))
+    return [value.numerator * (den // value.denominator) for value in values], den
+
+
+def append_over_lcm(nums: list[int], den: int, p, q: int) -> tuple[Fraction, int]:
+    """Append p/q to ``nums``, numerators over ``den`` rescaled in place to the
+    lcm of the denominators, and return p/q and that lcm: from ``[]`` over 1,
+    the appends end as ``over_lcm`` of their values.  ``p`` may be a Fraction."""
+    value = Fraction(p, q)
+    if den % value.denominator:
+        scale = value.denominator // math.gcd(den, value.denominator)
+        nums[:] = [x * scale for x in nums]
+        den *= scale
+    nums.append(value.numerator * (den // value.denominator))
+    return value, den
+
+
 def _integer_terms(coeffs: Sequence[Fraction]) -> tuple[list[tuple[int, int]], int]:
     """The nonzero coefficients as (exponent, numerator) over their lcm denominator."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    terms = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(coeffs) if c]
-    return terms, den
+    nums, den = over_lcm(coeffs)
+    return [(k, a) for k, a in enumerate(nums) if a], den
 
 
 class TruncatedSeries:
@@ -130,10 +153,6 @@ class TruncatedSeries:
             raise ValueError("order must be >= 0")
         return TruncatedSeries(self._coeffs[: order + 1])
 
-    def _shift_down(self, v: int) -> "TruncatedSeries":
-        # Divide by x^v; caller guarantees the low coefficients vanish.
-        return TruncatedSeries(self._coeffs[v:])
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_order(self, other: "TruncatedSeries") -> None:
@@ -162,13 +181,9 @@ class TruncatedSeries:
         return TruncatedSeries([-c for c in self._coeffs])
 
     def __sub__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            self._check_order(other)
-            return TruncatedSeries(
-                [a - b for a, b in zip(self._coeffs, other._coeffs)]
-            )
-        result = self.__add__(-other if isinstance(other, (int, Fraction)) else other)
-        return result
+        if isinstance(other, (TruncatedSeries, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other) -> "TruncatedSeries":
         return (-self).__add__(other)
@@ -241,7 +256,6 @@ def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     invertible g (v = 0) the result keeps order N.
     """
     f._check_order(g)
-    n = f.order
     v = g.valuation()
     if v is None:
         raise SeriesDivisionError("division by an identically zero series")
@@ -251,32 +265,26 @@ def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
             raise SeriesDivisionError(
                 f"denominator valuation {v} exceeds numerator valuation {fv}"
             )
-        f = f._shift_down(v)
-        g = g._shift_down(v)
-        n -= v
-    # With g = G/g_den and the quotient so far q = Q/q_den in integers,
-    # q_k = (f_k - sum_i g_i q_(k-i)) / g_0 is one integer dot product and
-    # one Fraction.  q_den is the lcm of the denominators of q_0..q_(k-1).
-    g_terms, g_den = _integer_terms(g.coeffs)
+    # Both are divided by x^v.  With g = G/g_den and the quotient so far
+    # q = Q/q_den in integers, q_k = (f_k - sum_i g_i q_(k-i)) / g_0 is one
+    # integer dot product and one Fraction.  q_den is the lcm of the
+    # denominators of q_0..q_(k-1).
+    g_terms, g_den = _integer_terms(g.coeffs[v:])
     _, lead = g_terms[0]
     tail = g_terms[1:]
     out: list[Fraction] = []
     nums: list[int] = []
     q_den = 1
-    for k, c in enumerate(f.coeffs):
+    for k, c in enumerate(f.coeffs[v:]):
         dot = 0
         for i, b in tail:
             if i > k:
                 break
             dot += b * nums[k - i]
         p, q = c.numerator, c.denominator
-        value = Fraction(p * g_den * q_den - dot * q, q * q_den * lead)
-        if q_den % value.denominator:
-            new_den = math.lcm(q_den, value.denominator)
-            scale = new_den // q_den
-            nums = [x * scale for x in nums]
-            q_den = new_den
-        nums.append(value.numerator * (q_den // value.denominator))
+        value, q_den = append_over_lcm(
+            nums, q_den, p * g_den * q_den - dot * q, q * q_den * lead
+        )
         out.append(value)
     return TruncatedSeries(out)
 

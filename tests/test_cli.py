@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -5,12 +6,15 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from admcalc import cli, hodge, localization
-from admcalc.cli import OutputRecord, run
+from admcalc.cli import run
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +235,31 @@ def test_other_table_and_series_outputs_match_the_benchmark_records(capsys):
         code, out, _ = run_cli(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_text_and_csv_outputs_match_the_benchmark_records(capsys):
+    # Every table and series slot (command, --what, --degree) in the text and
+    # csv formats, at the smallest size the records hold for it; the P3full
+    # and P3trans tables are pinned in both formats above.
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    outputs = json.loads(reference.read_text(encoding="utf-8"))["outputs"]
+    smallest: dict[tuple, tuple[int, str]] = {}
+    for argv in outputs:
+        words = argv.split()
+        flags = dict(zip(words[1::2], words[2::2]))
+        fmt = flags.get("--format", "text")
+        if words[0] not in ("table", "series") or fmt == "json":
+            continue
+        if flags["--what"] in ("P3full", "P3trans"):
+            continue
+        slot = (words[0], flags["--what"], flags.get("--degree"), fmt)
+        size = int(flags.get("--gmax") or flags["--order"])
+        smallest[slot] = min(smallest.get(slot, (size, argv)), (size, argv))
+    assert len(smallest) == 35
+    for _, argv in smallest.values():
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == outputs[argv], argv
 
 
 @pytest.mark.parametrize(
@@ -582,6 +611,56 @@ def test_usage_errors_take_one_line(capsys, argv):
     assert err.startswith("admcalc") and err.count("\n") == 1 and err.endswith("\n")
 
 
+_SIZE = st.integers(-2, 12).map(str)
+_FORMAT = st.sampled_from(["text", "json", "csv"])
+_DRAWN_ARGV = st.one_of(
+    st.builds(
+        lambda what, degree, order, fmt: [
+            "series", "--what", what, "--degree", degree, "--order", order,
+            "--format", fmt,
+        ],
+        st.sampled_from(["I", "J", "L", "P", "conjecture"]),
+        st.integers(-2, 8).map(str), _SIZE, _FORMAT,
+    ),
+    st.builds(
+        lambda what, gmax, fmt: [
+            "table", "--what", what, "--gmax", gmax, "--format", fmt,
+        ],
+        st.sampled_from(sorted(cli._TABLE_WHAT)), _SIZE, _FORMAT,
+    ),
+    st.builds(
+        lambda suite, gmax, order: [
+            "verify", *(["--all"] if suite is None else ["--suite", suite]),
+            "--gmax", gmax, "--order", order,
+        ],
+        st.none() | st.sampled_from(sorted(cli._SUITES)), _SIZE, _SIZE,
+    ),
+)
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
+@given(_DRAWN_ARGV)
+@example(["series", "--what", "J", "--degree", "3", "--order", "2"])
+@example(["series", "--what", "J", "--degree", "3", "--order", "2", "--format", "csv"])
+def test_drawn_requests_answer_or_refuse_in_one_line(argv):
+    # Every request either answers (exit 0, nothing on stderr) or is refused
+    # (exit 2, nothing on stdout, one stderr line); the code is right, so no
+    # suite fails (exit 1) and no exception escapes ``run``.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    if code == 0:
+        assert err.getvalue() == "", argv
+    else:
+        assert (code, out.getvalue()) == (2, ""), argv
+        message = err.getvalue()
+        assert message.startswith("admcalc") and message.count("\n") == 1, argv
+        assert message.endswith("\n"), argv
+
+
 def test_size_ceiling_admits_5000(capsys):
     code, out, _ = run_cli(capsys, "table", "--what", "P2", "--gmax", "5000")
     assert code == 0 and out.endswith("g=5000: 1/2\n")
@@ -643,8 +722,7 @@ def test_series_bad_degree_for_tables(capsys):
     assert code == 2 and "degree 2 or 3" in err
 
 
-def test_output_record_to_dict_omits_unset_fields():
-    record = OutputRecord("series", "I", degree=2, order=3, payload=[(1, "-1/4")])
-    data = record.to_dict()
-    assert "gmax" not in data and "status" not in data and "note" not in data
+def test_record_omits_unset_fields():
+    data = cli._record("series", "I", 2, 3, [0, Fraction(-1, 4), 0, 0])
+    assert list(data) == ["kind", "what", "degree", "order", "payload"]
     assert data["payload"] == [[1, "-1/4"]]

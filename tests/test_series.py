@@ -9,9 +9,11 @@ from admcalc.series import (
     OrderMismatchError,
     SeriesDivisionError,
     TruncatedSeries,
+    append_over_lcm,
     cos_scaled,
     div,
     egf_value,
+    over_lcm,
     sin_scaled,
 )
 
@@ -416,3 +418,17 @@ def test_div_matches_schoolbook_oracle(pair, v, data):
     quotient = div(TruncatedSeries(f), TruncatedSeries(g))
     assert quotient.order == order - v
     assert_fraction_series(quotient, schoolbook_div(f, g))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 14).flatmap(coefficients), st.integers(-12, 12).filter(bool))
+def test_running_lcm_appends_end_as_the_over_lcm_of_the_row(values, q):
+    # The running form ``div`` and ``l3_table`` keep equals the batch form the
+    # tables' integer rows take.  Every other value is appended as p/q with p
+    # a Fraction, as a patched relation makes it.
+    nums, den = [], 1
+    for k, value in enumerate(values):
+        p, q_k = (value * q, q) if k % 2 else (value.numerator, value.denominator)
+        appended, den = append_over_lcm(nums, den, p, q_k)
+        assert appended == value and type(appended) is Fraction
+    assert (nums, den) == over_lcm(values)
