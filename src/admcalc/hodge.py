@@ -19,6 +19,9 @@ closed form covers both degrees (and conjecturally all d >= 1):
 
 It is the only closed form computed here; the L and J closed forms are its
 scalings and squares, and a test checks the proven spellings above against it.
+Its numerator is a finite sum of exponentials e^(i(d-2k)x/2), so each
+coefficient is an O(d) integer sum (``_sine_power``); the one series division
+by 2 sin(dx/2) costs most.
 
 The degree-3 relation and the J convolution are summed in integers with the
 series kernel's two row helpers: ``over_lcm`` gives each row its integer
@@ -295,7 +298,9 @@ def conjecture_series(d: int, N: int) -> TruncatedSeries:
     """(-1)^(d-1) (1/d) (2 sin(x/2))^d / (2 sin(dx/2)) to order N.
 
     Proven to agree with i_series for d in {2, 3}; for d >= 4 the output is
-    conjectural data.  d = 1 collapses to the constant series 1.
+    conjectural data.  d = 1 collapses to the constant series 1.  The
+    numerator is ``_sine_power``'s finite sum, O(d N) integer work; the
+    division by 2 sin(dx/2), one series division, is the main cost.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
@@ -303,10 +308,30 @@ def conjecture_series(d: int, N: int) -> TruncatedSeries:
         raise ValueError("order must be >= d - 1")
     # The quotient loses one order to the denominator's valuation.
     work = N + 1
-    numerator = (2 * sin_scaled(Fraction(1, 2), work)) ** d
+    numerator = _sine_power(d, work)
     denominator = 2 * sin_scaled(Fraction(d, 2), work)
     sign = (-1) ** (d - 1)
     return div(numerator, denominator) * Fraction(sign, d)
+
+
+def _sine_power(d: int, N: int) -> TruncatedSeries:
+    """(2 sin(x/2))^d to order N, as a finite sum of exponentials.
+
+    (2 sin(x/2))^d = (-i)^d sum_k (-1)^k C(d, k) e^(i(d-2k)x/2), so m! times
+    its coefficient of x^m is zero unless m = d (mod 2), and otherwise
+        (-1)^((m-d)/2) sum_{k=0..d} (-1)^k C(d, k) (d-2k)^m / 2^m,
+    which vanishes for m < d: d! times the central factorial numbers, up to
+    sign (Riordan, Combinatorial Identities, 1968).  That is O(d) integer
+    work per coefficient.
+    """
+    signed = [(-1) ** k * comb(d, k) for k in range(d + 1)]
+    return TruncatedSeries.from_egf(
+        ((m, Fraction((-1) ** ((m - d) // 2)
+                      * sum(c * (d - 2 * k) ** m for k, c in enumerate(signed)),
+                      2**m))
+         for m in range(d, N + 1, 2)),
+        N,
+    )
 
 
 def _from_i(row: str, degree: int, i_d: TruncatedSeries) -> TruncatedSeries:

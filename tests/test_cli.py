@@ -613,6 +613,18 @@ def test_usage_errors_take_one_line(capsys, argv):
 
 _SIZE = st.integers(-2, 12).map(str)
 _FORMAT = st.sampled_from(["text", "json", "csv"])
+_PARTS = st.lists(st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 7]), min_size=1, max_size=4)
+
+
+def _fitted(parts, degree):
+    """The positive parts that fit the degree, padded with 1s up to it."""
+    kept = []
+    for part in parts:
+        if 0 < part <= degree - sum(kept):
+            kept.append(part)
+    return kept + [1] * (degree - sum(kept))
+
+
 _DRAWN_ARGV = st.one_of(
     st.builds(
         lambda what, degree, order, fmt: [
@@ -635,11 +647,27 @@ _DRAWN_ARGV = st.one_of(
         ],
         st.none() | st.sampled_from(sorted(cli._SUITES)), _SIZE, _SIZE,
     ),
+    # Parts drawn at random rarely make a cycle type of the degree, so half
+    # the requests fit every profile to it, which makes answered counts common.
+    st.builds(
+        lambda degree, profiles, fit, disconnected, bound: [
+            "hurwitz", "--degree", str(degree),
+            *(arg for parts in profiles for arg in (
+                "--profile",
+                ",".join(map(str, _fitted(parts, degree) if fit else parts)),
+            )),
+            *(["--disconnected"] if disconnected else []),
+            "--max-tuples", bound,
+        ],
+        st.integers(-1, 7), st.lists(_PARTS, max_size=5), st.booleans(),
+        st.booleans(),
+        st.sampled_from([-5, 0, 1, 10, 10**12]).map(str),
+    ),
 )
 
 
 @settings(
-    max_examples=300, deadline=None, derandomize=True, database=None,
+    max_examples=400, deadline=None, derandomize=True, database=None,
     phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 @given(_DRAWN_ARGV)

@@ -3,12 +3,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from admcalc.hodge import (
     TableSource,
     _l3_weights,
+    _sine_power,
     closed_form_L2,
     closed_form_L3,
     conjecture_series,
@@ -303,6 +304,39 @@ def test_conjecture_series_is_prefix_stable(d):
     for N, series in built.items():
         for n in range(d - 1, N + 1):
             assert series.truncate(n) == built[n]
+
+
+def product_conjecture_series(d, N):
+    # The numerator as d - 1 series products: the reference for the finite
+    # sum that conjecture_series builds.
+    work = N + 1
+    numerator = (2 * sin_scaled(F(1, 2), work)) ** d
+    denominator = 2 * sin_scaled(F(d, 2), work)
+    return div(numerator, denominator) * F((-1) ** (d - 1), d)
+
+
+UNSHRUNK = settings(
+    max_examples=60, deadline=None, derandomize=True, database=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
+
+
+@UNSHRUNK
+@given(st.integers(1, 9), st.integers(0, 60))
+@example(9, 8)
+@example(9, 60)
+def test_sine_power_is_the_series_power(d, N):
+    # Below order d the power is the zero series.
+    assert _sine_power(d, N) == (2 * sin_scaled(F(1, 2), N)) ** d
+
+
+@UNSHRUNK
+@given(st.integers(4, 9).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(d - 1, 60))))
+@example((9, 60))
+def test_conjecture_series_matches_the_product_spelling(case):
+    d, N = case
+    assert conjecture_series(d, N) == product_conjecture_series(d, N)
 
 
 def test_table_source_closed_forms_are_truncations():
