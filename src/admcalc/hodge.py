@@ -17,19 +17,18 @@ closed form covers both degrees (and conjecturally all d >= 1):
 
       I_d(x) = (-1)^(d-1) (1/d) (2 sin(x/2))^d / (2 sin(dx/2)).
 
-It is the only closed form computed here; the L and J closed forms are its
-scalings and squares, and a test checks the proven spellings above against it.
-Its numerator is a finite sum of exponentials e^(i(d-2k)x/2), so each
-coefficient is an O(d) integer sum (``_sine_power``); the one series division
-by 2 sin(dx/2) costs most.
+It is the only closed form computed here.  ``TableSource.closed_form`` is the
+one derivation of the L and J closed forms from it (L scales I_d, J is d I_d^2);
+``closed_form_L2/L3`` and ``j_relation_check`` read it, and a test checks the
+proven spellings above against it.  Its numerator is a finite sum of
+exponentials e^(i(d-2k)x/2), so each coefficient is an O(d) integer sum
+(``_sine_power``); the one series division by 2 sin(dx/2) costs most.
 
-The degree-3 relation and the J convolution are summed in integers with the
-series kernel's two row helpers: ``over_lcm`` gives each row its integer
-form, and ``l3_table`` grows L3 by ``append_over_lcm`` as ``div`` grows a
-quotient.  The degree-3 weights are the integers of 3 times the relation, and
-``_j_numerators`` gives the J row and the two-point loci one sum.  Each L3
-and J value is then one integer sum and one Fraction.  The L2 recursion still
-adds Fractions.
+The degree-3 relation and the J convolution are summed in integers, one
+Fraction per value, with the series kernel's row helpers: ``over_lcm`` gives
+each row its integer form, and ``l3_table`` grows L3 by ``append_over_lcm`` as
+``div`` grows a quotient.  ``_j_numerators`` gives the J row and the two-point
+loci one sum.  The L2 recursion still adds Fractions.
 """
 
 from __future__ import annotations
@@ -257,10 +256,10 @@ class TableSource:
     takes L2's genus.
 
     ``tables.closed_form(row, degree, n)`` returns the closed form of the
-    degree's ``row`` ("I", "L" or "J") to order n.  Each degree's I_d is
-    built once, by ``conjecture_series`` at the larger of n and
-    ``closed_order``, and every request reads a truncation of it, which is
-    exact since the series is prefix-stable; a request past the order built
+    degree's ``row`` ("I", "L" or "J") to order n, the one derivation of L and
+    J from I_d.  Each degree's I_d is built once, by ``conjecture_series`` at
+    the larger of n and ``closed_order``; every request reads a truncation of
+    it, exact since the series is prefix-stable, and one past the order built
     builds it again.  Nothing outlives the source.  Tables, and L rows, exist
     at degrees 2 and 3 only; any other request raises ValueError.
     """
@@ -291,7 +290,12 @@ class TableSource:
         if i_d is None or i_d.order < n:
             i_d = conjecture_series(degree, max(n, self._closed_order))
             self._closed[degree] = i_d
-        return _from_i(row, degree, i_d.truncate(n))
+        i_d = i_d.truncate(n)
+        if row == "L":
+            return i_d / _I_PER_L[degree]
+        if row == "J":
+            return degree * i_d**2
+        return i_d
 
 
 def conjecture_series(d: int, N: int) -> TruncatedSeries:
@@ -334,24 +338,14 @@ def _sine_power(d: int, N: int) -> TruncatedSeries:
     )
 
 
-def _from_i(row: str, degree: int, i_d: TruncatedSeries) -> TruncatedSeries:
-    """The closed form of ``row`` read off I_d: L is its scaling, J is
-    ``degree`` times its square."""
-    if row == "L":
-        return i_d / _I_PER_L[degree]
-    if row == "J":
-        return degree * i_d**2
-    return i_d
-
-
 def closed_form_L2(N: int) -> TruncatedSeries:
-    """-2 I_2(x) to order N: the EGF of L2."""
-    return _from_i("L", 2, conjecture_series(2, N))
+    """-2 I_2(x) to order N: the EGF of L2, from ``TableSource.closed_form``."""
+    return TableSource(0).closed_form("L", 2, N)
 
 
 def closed_form_L3(N: int) -> TruncatedSeries:
-    """(9/2) I_3(x) to order N: the EGF of L3."""
-    return _from_i("L", 3, conjecture_series(3, N))
+    """(9/2) I_3(x) to order N: the EGF of L3, from ``TableSource.closed_form``."""
+    return TableSource(0).closed_form("L", 3, N)
 
 
 def i_series(table: HodgeTable, order: int) -> TruncatedSeries:
@@ -377,12 +371,12 @@ def p3_trans_series(N: int) -> TruncatedSeries:
 def j_relation_check(g: int) -> bool:
     """Compare the table's J2(g), the convolution ``_j_terms``, with the
     coefficient of the J closed form 2 * I_2(x)^2, read off
-    ``conjecture_series(2)``.  No command calls it; the tests and the
+    ``TableSource.closed_form``.  No command calls it; the tests and the
     benchmark's tracer do."""
     if g < 0:
         raise ValueError("genus must be >= 0")
     order = 2 * g + 2
-    closed = _from_i("J", 2, conjecture_series(2, order))
+    closed = TableSource(0).closed_form("J", 2, order)
     return l2_table(g).J[g] == egf_value(closed, order)
 
 

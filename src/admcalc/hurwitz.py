@@ -5,7 +5,8 @@ as an n-tuple of permutations in S_d with prescribed cycle types whose
 ordered product is the identity; the cover is connected exactly when the
 tuple acts transitively on the d sheets.  Counts are normalised by 1/d!
 (equivalently: tuples are weighted by the reciprocal of the order of S_d),
-so they are rationals, not integers.
+so they are rationals, not integers.  ``_connected_covers`` alone counts the
+simple branch points of ``p2``, ``p3_full`` and ``p3_trans``, by Riemann-Hurwitz.
 
 Enumeration folds the first n-1 slots from left to right.  The state after
 a slot is the running product and, for connected counts, the partition of
@@ -301,31 +302,27 @@ def hurwitz_count(
     return weight * total
 
 
-def _uniform_profile(d: int, parts: tuple[int, ...], n: int) -> BranchProfile:
-    return BranchProfile(d, (CycleType(parts),) * n)
+def _connected_covers(d: int, g: int, *special: tuple[int, ...]) -> Fraction:
+    """Connected genus-g degree-d covers of the line: the ``special`` cycle types
+    first, then the 2g + 2d - 2 - sum(d - len(parts)) simple points they leave."""
+    if g < 0:
+        raise ValueError("genus must be >= 0")
+    simple = 2 * g + 2 * d - 2 - sum(d - len(parts) for parts in special)
+    types = [*map(CycleType, special)] + [CycleType((2,) + (1,) * (d - 2))] * simple
+    return hurwitz_count(BranchProfile(d, tuple(types)), connected=True)
 
 
 def p2(g: int) -> Fraction:
     """Count of genus-g double covers of the line: 2g+2 simple branch points."""
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    profile = _uniform_profile(2, (2,), 2 * g + 2)
-    return hurwitz_count(profile, connected=True)
+    return _connected_covers(2, g)
 
 
 def p3_full(g: int) -> Fraction:
     """Connected degree-3 covers of the line with one point of full
     ramification and 2g+2 simple branch points."""
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    types = [CycleType((3,))] + [CycleType((2, 1))] * (2 * g + 2)
-    profile = BranchProfile(3, tuple(types))
-    return hurwitz_count(profile, connected=True)
+    return _connected_covers(3, g, (3,))
 
 
 def p3_trans(g: int) -> Fraction:
     """Connected degree-3 covers of the line with 2g+4 simple branch points."""
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    profile = _uniform_profile(3, (2, 1), 2 * g + 4)
-    return hurwitz_count(profile, connected=True)
+    return _connected_covers(3, g)

@@ -17,7 +17,7 @@ normal bundle factors) is not modelled; only the reduced outcome per locus
 is, which is what the identities consume.  A catalog is the list of those
 outcomes, one coefficient per locus: the summands of a relation in
 ``hodge`` (``_l2_terms``, ``_l3_weights``, ``_j_terms``), with the locus of
-each named in a comment beside its builder, and the cover counts are the
+each named in a comment beside its builder or call, and the cover counts are the
 closed forms there; all are looked up on ``hodge`` when called, as the tables
 look them up.  So the linearization check (acceptance criterion 5) and the
 vanishing check (criterion 6) restate the L2 and L3 recursions, and
@@ -102,14 +102,6 @@ def _deg3_aux_terms(g: int, l2: HodgeTable, l3: HodgeTable) -> Catalog:
     ], 3 * den
 
 
-def _j_loci(g: int, l2: HodgeTable) -> Catalog:
-    # One locus F_{i,g-i} per split, worth the J2 convolution summand
-    # 2 C(2g+2, 2i+1) I2(i) I2(g-i) (a palindrome in i).  The ends are the
-    # single-sided loci F_{g,.} and F_{.,g}; at g = 0 they are one and the
-    # same, so exactly one term is emitted.  The J2 row sums the same terms.
-    return hodge._j_numerators(l2, g)
-
-
 def _catalog(
     g: int, family: str, l2: HodgeTable, l3: HodgeTable | None
 ) -> Catalog:
@@ -126,7 +118,11 @@ def _catalog(
     if family == "linB":
         return _deg2_linB_terms(g, l2)
     if family == "J":
-        return _j_loci(g, l2)
+        # One locus F_{i,g-i} per split, worth the J2 convolution summand
+        # 2 C(2g+2, 2i+1) I2(i) I2(g-i) (a palindrome in i).  The ends are the
+        # single-sided loci F_{g,.} and F_{.,g}; at g = 0 they are one and the
+        # same, so exactly one term is emitted.  The J2 row sums the same terms.
+        return hodge._j_numerators(l2, g)
     return _deg3_aux_terms(g, l2, l3)
 
 

@@ -277,6 +277,17 @@ def test_j_relation_check(g):
     assert j_relation_check(g)
 
 
+def test_closed_form_readers_keep_their_domains():
+    # closed_form_L2 needs N >= 1 and closed_form_L3 N >= 2, the general
+    # form's bound; j_relation_check refuses a negative genus itself.
+    with pytest.raises(ValueError, match="order must be >= d - 1"):
+        closed_form_L2(0)
+    with pytest.raises(ValueError, match="order must be >= d - 1"):
+        closed_form_L3(1)
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        j_relation_check(-1)
+
+
 # -- conjecture ------------------------------------------------------------
 
 

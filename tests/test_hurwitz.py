@@ -382,3 +382,28 @@ def test_p3_families_match_closed_forms():
         p3_full(-2)
     with pytest.raises(ValueError):
         p3_trans(-1)
+
+
+@pytest.mark.parametrize(
+    "family, special, simple",
+    [(p2, [], lambda g: [(2,)] * (2 * g + 2)),
+     (p3_full, [(3,)], lambda g: [(2, 1)] * (2 * g + 2)),
+     (p3_trans, [], lambda g: [(2, 1)] * (2 * g + 4))],
+    ids=["p2", "p3_full", "p3_trans"],
+)
+def test_families_keep_their_profiles(monkeypatch, family, special, simple):
+    # Riemann-Hurwitz sets the number of simple points; the special ones come
+    # first, since the order of the points sets the fold's work.
+    calls = []
+
+    def record(profile, connected):
+        calls.append(([t.parts for t in profile.profiles], connected))
+        return Fraction(0)
+
+    monkeypatch.setattr(hurwitz, "hurwitz_count", record)
+    for g in range(5):
+        family(g)
+    assert calls == [(special + simple(g), True) for g in range(5)]
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        family(-1)
+    assert len(calls) == 5
