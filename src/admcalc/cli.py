@@ -12,9 +12,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from functools import partial
-from typing import NoReturn
 
 from . import hodge, localization
 from .hurwitz import (
@@ -305,7 +305,7 @@ def _cmd_hurwitz(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """A parser, its subcommands' too, whose usage errors take one line."""
 
-    def error(self, message: str) -> NoReturn:
+    def error(self, message: str):
         self.exit(2, f"{self.prog}: {message}\n")
 
 
@@ -383,7 +383,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader closed stdout.  What is still buffered goes to devnull
+        # at shutdown, so the one line below is all that is printed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _usage_error(f"cannot write stdout: {exc.strerror}")
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ loci one sum.  The L2 recursion still adds Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -66,7 +65,6 @@ __all__ = [
 _I_PER_L = {2: Fraction(-1, 2), 3: Fraction(2, 9)}  # I_d = _I_PER_L[d] * L_d
 
 
-@dataclass(frozen=True)
 class HodgeTable:
     """The solved L-row for one of the two computed degrees; row g is genus g.
 
@@ -74,10 +72,29 @@ class HodgeTable:
     first used, and so are the integer forms ``L_int`` and ``I_int`` that
     the relation sums read.  The degree-3 row is solved with the cover
     counts' closed forms, which ``_l3_weights`` reads.
+
+    Tables compare by value, and their attributes are read-only, so a cached
+    row never outlives the ``L`` it was read off: a perturbed table is a new
+    ``HodgeTable(degree, L)``.
     """
 
-    degree: int
-    L: list[Fraction]
+    def __init__(self, degree: int, L: list[Fraction]):
+        # Written past the guard below, as ``cached_property`` writes.
+        self.__dict__.update(degree=degree, L=L)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.L) == (other.degree, other.L)
+
+    def __repr__(self) -> str:
+        return f"HodgeTable(degree={self.degree!r}, L={self.L!r})"
 
     @property
     def gmax(self) -> int:
@@ -384,7 +401,7 @@ def ode_residual_deg2(l2: HodgeTable, N: int) -> TruncatedSeries:
     """L2'(x) sin(x) - L2(x) to order N; zero for the true table.
 
     The table must reach order N + 1; a perturbed one (made with
-    ``dataclasses.replace``) shows up as a nonzero residual.
+    ``HodgeTable(degree, L)``) shows up as a nonzero residual.
     """
     if N < 2:
         raise ValueError("order must be >= 2")

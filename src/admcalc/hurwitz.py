@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations, permutations
 from operator import itemgetter
-from typing import Iterator
 
 __all__ = [
     "DEFAULT_MAX_TUPLES",
@@ -87,39 +86,64 @@ def _type_of_images(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """Partition recording the cycle lengths of a permutation."""
+class _ReadOnly:
+    """Attributes that cannot be rebound or deleted once ``__init__`` has
+    written them into ``__dict__``."""
 
-    parts: tuple[int, ...]
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __post_init__(self):
-        parts = tuple(sorted(self.parts, reverse=True))
-        if any(not isinstance(p, int) or p < 1 for p in parts):
-            raise ValueError(f"cycle lengths must be positive integers: {self.parts}")
-        object.__setattr__(self, "parts", parts)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CycleType(_ReadOnly):
+    """Partition recording the cycle lengths of a permutation, longest first."""
+
+    def __init__(self, parts: tuple[int, ...]):
+        ordered = tuple(sorted(parts, reverse=True))
+        if any(not isinstance(p, int) or p < 1 for p in ordered):
+            raise ValueError(f"cycle lengths must be positive integers: {parts}")
+        self.__dict__["parts"] = ordered
 
     @property
     def degree(self) -> int:
         return sum(self.parts)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
 
-@dataclass(frozen=True)
-class BranchProfile:
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"CycleType(parts={self.parts!r})"
+
+
+class BranchProfile(_ReadOnly):
     """Degree plus one cycle type per branch point."""
 
-    degree: int
-    profiles: tuple[CycleType, ...]
-
-    def __post_init__(self):
-        if self.degree < 1:
+    def __init__(self, degree: int, profiles: tuple[CycleType, ...]):
+        if degree < 1:
             raise ValueError("degree must be >= 1")
-        object.__setattr__(self, "profiles", tuple(self.profiles))
-        for t in self.profiles:
-            if t.degree != self.degree:
-                raise ValueError(
-                    f"cycle type {t.parts} does not partition {self.degree}"
-                )
+        profiles = tuple(profiles)
+        for t in profiles:
+            if t.degree != degree:
+                raise ValueError(f"cycle type {t.parts} does not partition {degree}")
+        self.__dict__.update(degree=degree, profiles=profiles)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.profiles) == (other.degree, other.profiles)
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.profiles))
+
+    def __repr__(self) -> str:
+        return f"BranchProfile(degree={self.degree!r}, profiles={self.profiles!r})"
 
 
 def _class_images(d: int, parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -140,7 +140,7 @@ def enumerate_loci(
     Every family reads the L2 table ``l2``; ``aux`` also reads the L3 table
     ``l3``.  The cover counts come from their closed forms in ``hodge``, as
     they do for the tables.  The tables must reach genus
-    g; a perturbed table (made with ``dataclasses.replace``) probes what the
+    g; a perturbed table (made with ``HodgeTable(degree, L)``) probes what the
     identity detects.
     """
     numerators, den = _catalog(g, family, l2, l3)

@@ -16,10 +16,8 @@ wrong tails.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Scalar = Union[int, Fraction]
 
 __all__ = [
     "TruncatedSeries",
@@ -42,7 +40,7 @@ class SeriesDivisionError(ArithmeticError):
     """Series division has no well-defined truncated quotient."""
 
 
-def _as_rational(value: Scalar) -> Fraction:
+def _as_rational(value: int | Fraction) -> Fraction:
     # Floats are rejected outright rather than converted: exactness is the
     # whole point of this module.
     if isinstance(value, float):
@@ -87,7 +85,7 @@ class TruncatedSeries:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar]):
+    def __init__(self, coeffs: Iterable[int | Fraction]):
         cs = [_as_rational(c) for c in coeffs]
         if not cs:
             raise ValueError("a series needs at least one coefficient")
@@ -102,7 +100,7 @@ class TruncatedSeries:
         return cls([1] + [0] * order)
 
     @classmethod
-    def from_egf(cls, terms: Iterable[tuple[int, Scalar]], order: int) -> "TruncatedSeries":
+    def from_egf(cls, terms: Iterable[tuple[int, int | Fraction]], order: int) -> "TruncatedSeries":
         """Series with coefficient value/k! at exponent k for each (k, value).
 
         Exponents may repeat (contributions add) but must lie in [0, order].
@@ -289,7 +287,7 @@ def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def _taylor(a: Scalar, order: int, first: int) -> TruncatedSeries:
+def _taylor(a: int | Fraction, order: int, first: int) -> TruncatedSeries:
     """sin(a*x) (first = 1) or cos(a*x) (first = 0) through x^order, exactly."""
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -302,12 +300,12 @@ def _taylor(a: Scalar, order: int, first: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def sin_scaled(a: Scalar, order: int) -> TruncatedSeries:
+def sin_scaled(a: int | Fraction, order: int) -> TruncatedSeries:
     """Taylor expansion of sin(a*x) through x^order, exactly."""
     return _taylor(a, order, 1)
 
 
-def cos_scaled(a: Scalar, order: int) -> TruncatedSeries:
+def cos_scaled(a: int | Fraction, order: int) -> TruncatedSeries:
     """Taylor expansion of cos(a*x) through x^order, exactly."""
     return _taylor(a, order, 0)
 

@@ -1,9 +1,10 @@
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -372,7 +373,7 @@ def test_verify_series_suites_read_rows_up_to_gmax(
         table = solve(arg)
         L = list(table.L)
         L[row] += 1
-        return dataclasses.replace(table, L=L)
+        return hodge.HodgeTable(table.degree, L)
 
     monkeypatch.setattr(hodge, builder, bumped)
     # lab's vanishing half would see row 4 too; the closed form alone decides.
@@ -721,6 +722,37 @@ def test_output_into_missing_directory(tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert err.startswith("admcalc: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "rel2", "--gmax", "2"],
+        ["table", "--what", "L2", "--gmax", "3"],
+        ["hurwitz", "--degree", "3", "--profile", "3", "--profile", "3", "--profile", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_2_in_one_line(argv, unbuffered):
+    # The read end is closed before the command starts, so its first write
+    # fails, whether stdout is buffered or not.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "admcalc.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "admcalc: cannot write stdout: Broken pipe\n"
 
 
 @pytest.mark.parametrize("what", ["L2", "P2", "P3full", "P3trans"])

@@ -19,7 +19,6 @@ count fault reaches ``hurwitz``, which compares the counts with the
 enumeration.
 """
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -72,18 +71,18 @@ def _no_fault(patch, index, delta):
 
 def _l2_row_true_l3(patch, index, delta):
     t2, t3 = _true_tables()
-    return _served(dataclasses.replace(t2, L=_bumped(t2.L, index, delta)), t3)
+    return _served(hodge.HodgeTable(2, _bumped(t2.L, index, delta)), t3)
 
 
 def _l2_row_solved_l3(patch, index, delta):
     t2, _ = _true_tables()
-    bad = dataclasses.replace(t2, L=_bumped(t2.L, index, delta))
+    bad = hodge.HodgeTable(2, _bumped(t2.L, index, delta))
     return _served(bad, hodge.l3_table(bad))
 
 
 def _l3_row(patch, index, delta):
     t2, t3 = _true_tables()
-    return _served(t2, dataclasses.replace(t3, L=_bumped(t3.L, index, delta)))
+    return _served(t2, hodge.HodgeTable(3, _bumped(t3.L, index, delta)))
 
 
 def _count(name):

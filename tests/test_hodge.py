@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +6,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from admcalc.hodge import (
+    HodgeTable,
     TableSource,
     _l3_weights,
     _sine_power,
@@ -39,14 +39,33 @@ def test_l2_spot_values():
     t = l2_table(3)
     assert [t.L[g] for g in range(4)] == [F(1, 2), F(1, 4), F(1, 2), F(17, 8)]
     assert t.degree == 2 and t.gmax == 3
-    assert [field.name for field in dataclasses.fields(t)] == ["degree", "L"]
+    assert list(vars(t)) == ["degree", "L"]
 
 
 def test_l3_spot_values():
     t = l3_table(l2_table(3))
     assert [t.L[g] for g in range(3)] == [1, 3, 21]
     assert t.L[3] == F(809, 3)
-    assert [field.name for field in dataclasses.fields(t)] == ["degree", "L"]
+    assert list(vars(t)) == ["degree", "L"]
+
+
+def test_tables_are_read_only_values():
+    L = [F(1, 2), F(1, 4)]
+    t = HodgeTable(2, L)
+    assert t == HodgeTable(degree=2, L=list(L)) == l2_table(1)
+    assert t != HodgeTable(3, L) and t != HodgeTable(2, L[:1]) and t != (2, L)
+    assert repr(t) == "HodgeTable(degree=2, L=[Fraction(1, 2), Fraction(1, 4)])"
+    with pytest.raises(TypeError):
+        hash(t)
+    assert t.I == [F(-1, 4), F(-1, 8)]
+    for name in ("degree", "L", "I"):
+        before = getattr(t, name)
+        with pytest.raises(AttributeError):
+            setattr(t, name, before)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+        assert getattr(t, name) is before
+    assert list(vars(t)) == ["degree", "L", "I"]
 
 
 def test_table_invariants():
@@ -99,7 +118,7 @@ def bumped(table, bump):
     k, delta, zero = bump
     values = list(table.L)
     values[k] = F(0) if zero else values[k] + delta
-    return dataclasses.replace(table, L=values)
+    return HodgeTable(table.degree, values)
 
 
 def schoolbook_l3(l2_row):
@@ -137,7 +156,7 @@ def test_j_row_matches_the_fraction_convolution(table, bump):
 @pytest.mark.parametrize("degree", [2, 3], ids=["l2_table", "l3_table"])
 def test_derived_rows_follow_a_replaced_l(degree):
     t = l2_table(5) if degree == 2 else l3_table(l2_table(5))
-    bumped = dataclasses.replace(t, L=[t.L[0], t.L[1] + 1, *t.L[2:]])
+    bumped = HodgeTable(t.degree, [t.L[0], t.L[1] + 1, *t.L[2:]])
     d, order = t.degree, 2 * t.gmax + 2 * t.degree - 2
     scale = F(-1, 2) if d == 2 else F(2, 9)
     assert bumped.I == [scale * value for value in bumped.L]
@@ -243,7 +262,7 @@ def test_row_series_reject_a_short_table(row_series, orders):
     tables = (l2_table(3), l3_table(l2_table(3)))
     for table, order in zip(tables, orders):
         row_series(table, order)
-        short = dataclasses.replace(table, L=table.L[:3])
+        short = HodgeTable(table.degree, table.L[:3])
         with pytest.raises(ValueError, match="reach genus 3"):
             row_series(short, order)
 
@@ -413,7 +432,7 @@ def test_ode_residual_orders():
 def perturbed(table, bump_at, delta):
     values = list(table.L)
     values[bump_at] += delta
-    return dataclasses.replace(table, L=values)
+    return HodgeTable(table.degree, values)
 
 
 def test_perturbed_l2_detected():

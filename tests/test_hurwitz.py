@@ -77,15 +77,45 @@ def test_oracle_helpers():
 
 def test_cycle_type_normalises_and_validates():
     assert CycleType((1, 3, 2)).parts == (3, 2, 1)
-    with pytest.raises(ValueError):
-        CycleType((0, 2))
+    assert CycleType(parts=[2, 3, 1]).parts == (3, 2, 1)
+    assert CycleType((1, 3, 2)).degree == 6
+    for bad in [(0, 2), [2, -1], (1.0, 2)]:
+        message = f"cycle lengths must be positive integers: {bad}"
+        with pytest.raises(ValueError) as info:
+            CycleType(bad)
+        assert str(info.value) == message
 
 
 def test_branch_profile_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^degree must be >= 1$"):
         BranchProfile(0, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cycle type \(2, 2\) does not partition 3$"):
         profile(3, (2, 2))
+    with pytest.raises(ValueError, match=r"^cycle type \(2, 1\) does not partition 4$"):
+        BranchProfile(degree=4, profiles=[CycleType((4,)), CycleType((1, 2))])
+    p = BranchProfile(degree=3, profiles=[CycleType((3,)), CycleType((1, 2))])
+    assert p.profiles == (CycleType((3,)), CycleType((2, 1)))
+
+
+def test_cycle_types_and_profiles_are_read_only_values():
+    t = CycleType((1, 2))
+    p = BranchProfile(3, (CycleType((3,)), t))
+    assert t == CycleType(parts=(2, 1)) and hash(t) == hash(CycleType((2, 1)))
+    assert t != CycleType((3,)) and t != (2, 1)
+    assert p == profile(3, (3,), (1, 2)) and hash(p) == hash(profile(3, (3,), (2, 1)))
+    assert p != profile(3, (3,), (3,)) and p != BranchProfile(3, (t, CycleType((3,))))
+    assert len({t, CycleType((2, 1)), CycleType((3,))}) == 2
+    assert repr(t) == "CycleType(parts=(2, 1))"
+    assert repr(p) == (
+        "BranchProfile(degree=3, profiles=(CycleType(parts=(3,)), CycleType(parts=(2, 1))))"
+    )
+    for value, name in [(t, "parts"), (p, "degree"), (p, "profiles")]:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
 
 
 def class_size(d, parts):

@@ -68,6 +68,22 @@ def test_cli_module_runs_as_a_script(argv, code, out):
     assert (result.returncode, result.stdout) == (code, out), result.stderr
 
 
+def test_cli_imports_no_dataclasses_inspect_or_typing():
+    # -S keeps site out: a .pth file in site-packages may import typing
+    # before any user code, and would hide a typing import here.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import admcalc.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
 def test_package_imports_only_the_standard_library():
     src = Path(__file__).resolve().parents[1] / "src" / "admcalc"
     allowed = set(sys.stdlib_module_names) | {"admcalc"}
