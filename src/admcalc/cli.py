@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from functools import partial
 
 from . import hodge, localization
@@ -97,51 +98,70 @@ def _usage_error(message: str) -> int:
 
 # -- verification suites ---------------------------------------------------
 #
-# Each suite returns True on success.  It reads its tables and closed forms
-# from the ``hodge.TableSource`` of one ``verify`` invocation, whose tables
-# reach --order + 1: ``tables(degree, gmax)`` in the genus-range suites,
-# ``tables(degree)`` in the series suites, and ``tables.closed_form(row,
-# degree, n)`` for the closed forms.
-# The Hurwitz suite runs each family from genus 0 up to --gmax and stops it
-# at the first genus the enumeration bound refuses: the raw tuple count
-# grows with the genus, so every later genus would be refused too.
+# Each suite yields (left, right) pairs: the values of its two routes at each
+# point it checks, in the order it checks them.  ``_passes`` is the one judge
+# of every suite, and the first pair that differs ends the suite.  A suite
+# reads its tables and closed forms from the ``hodge.TableSource`` of one
+# ``verify`` invocation, whose tables reach --order + 1: ``tables(degree,
+# gmax)`` in the genus-range suites, ``tables(degree)`` in the series suites,
+# and ``tables.closed_form(row, degree, n)`` for the closed forms.  It looks
+# up ``hodge`` and ``localization`` names as it runs, so a patch of either
+# reaches it.
 
 
-def _suite_rel2(gmax: int, order: int, tables: hodge.TableSource) -> bool:
+def _passes(pairs: Iterable[tuple]) -> bool:
+    return all(left == right for left, right in pairs)
+
+
+def _suite_rel2(gmax: int, order: int, tables: hodge.TableSource) -> Iterator:
+    # The L2 recursion's rows 0..gmax against the closed form's L2.  This
+    # repeats conjecture's degree-2 pair (L2 is -2 I2) over another range.
     n = 2 * gmax + 1  # L2 row gmax sits at x^(2 gmax + 1)
-    return hodge.l_series(tables(2, gmax), n) == tables.closed_form("L", 2, n)
+    yield hodge.l_series(tables(2, gmax), n), tables.closed_form("L", 2, n)
 
 
-def _suite_lab(gmax: int, order: int, tables: hodge.TableSource) -> bool:
+def _suite_lab(gmax: int, order: int, tables: hodge.TableSource) -> Iterator:
+    # The L3 relation's rows 0..gmax against the closed form's L3: this
+    # repeats conjecture's degree-3 pair (L3 is 9/2 I3) over another range.
+    # Then the aux loci's sum against 0 at each genus; the loci are the
+    # summands of the degree-3 relation the L3 rows were solved from, so this
+    # half restates that relation.
     t2 = tables(2, gmax)
     t3 = tables(3, gmax)
     n = 2 * gmax + 2  # L3 row gmax sits at x^(2 gmax + 2)
-    recursion_ok = hodge.l_series(t3, n) == tables.closed_form("L", 3, n)
-    vanishing_ok = all(
-        localization.deg3_aux_residual(g, l2=t2, l3=t3) == 0
-        for g in range(gmax + 1)
-    )
-    return recursion_ok and vanishing_ok
+    yield hodge.l_series(t3, n), tables.closed_form("L", 3, n)
+    for g in range(gmax + 1):
+        yield localization.deg3_aux_residual(g, l2=t2, l3=t3), 0
 
 
-def _suite_ode2(gmax: int, order: int, tables: hodge.TableSource) -> bool:
-    return hodge.ode_residual_deg2(tables(2), order).is_zero()
+def _suite_ode2(gmax: int, order: int, tables: hodge.TableSource) -> Iterator:
+    # The L2 rows against the differential equation L2' sin x = L2: its
+    # residual against the zero series.
+    residual = hodge.ode_residual_deg2(tables(2), order)
+    yield residual, TruncatedSeries([0] * (order + 1))
 
 
-def _suite_ode3(gmax: int, order: int, tables: hodge.TableSource) -> bool:
-    return hodge.ode_residual_deg3(tables(2), tables(3), order).is_zero()
+def _suite_ode3(gmax: int, order: int, tables: hodge.TableSource) -> Iterator:
+    # The L2 and L3 rows against the degree-3 differential equation: its
+    # residual against the zero series.  The equation restates the degree-3
+    # relation, so this passes for any L3 solved from any L2.
+    residual = hodge.ode_residual_deg3(tables(2), tables(3), order)
+    yield residual, TruncatedSeries([0] * (order + 1))
 
 
-def _suite_conjecture(gmax: int, order: int, tables: hodge.TableSource) -> bool:
-    if tables.closed_form("I", 1, order) != TruncatedSeries.one(order):
-        return False
-    return all(
-        tables.closed_form("I", d, order) == hodge.i_series(tables(d), order)
-        for d in (2, 3)
-    )
+def _suite_conjecture(gmax: int, order: int, tables: hodge.TableSource) -> Iterator:
+    # The closed form I_d against 1 at degree 1, and against the I rows of
+    # the degree's table at degrees 2 and 3, to --order.
+    yield tables.closed_form("I", 1, order), TruncatedSeries.one(order)
+    for d in (2, 3):
+        yield tables.closed_form("I", d, order), hodge.i_series(tables(d), order)
 
 
-def _suite_hurwitz(gmax: int, order: int, tables: hodge.TableSource) -> bool:
+def _suite_hurwitz(gmax: int, order: int, tables: hodge.TableSource) -> Iterator:
+    # Each cover count's enumeration against its closed form, genus 0..gmax.
+    # A family stops at the first genus the enumeration bound refuses: the
+    # raw tuple count grows with the genus, so every later genus would be
+    # refused too.
     families = (
         (p3_full, hodge.p3_full_closed),
         (p3_trans, hodge.p3_trans_closed),
@@ -153,29 +173,30 @@ def _suite_hurwitz(gmax: int, order: int, tables: hodge.TableSource) -> bool:
                 value = count(g)
             except EnumerationBoundError:
                 break
-            if value != closed(g):
-                return False
-    return True
+            yield value, closed(g)
 
 
-def _suite_linearizations(gmax: int, order: int, tables: hodge.TableSource) -> bool:
+def _suite_linearizations(gmax: int, order: int, tables: hodge.TableSource) -> Iterator:
+    # The linA loci's sum against the linB loci's, genus 0..gmax.  The linB
+    # loci are the summands of the L2 recursion the table was solved from,
+    # so this restates that recursion.
     t2 = tables(2, gmax)
-    return all(
-        localization.deg2_linA(g, l2=t2) == localization.deg2_linB(g, l2=t2)
-        for g in range(gmax + 1)
-    )
+    for g in range(gmax + 1):
+        yield localization.deg2_linA(g, l2=t2), localization.deg2_linB(g, l2=t2)
 
 
-def _suite_aspinwall(gmax: int, order: int, tables: hodge.TableSource) -> bool:
-    # The locus route to J2, and the J3 row, against the closed form d * I_d^2.
+def _suite_aspinwall(gmax: int, order: int, tables: hodge.TableSource) -> Iterator:
+    # The J loci's sum against the closed form d * I_d^2 at degree 2, genus
+    # 0..gmax.  The loci are the summands of the J convolution the J2 row is
+    # read off, so this half restates that row.  Then the J3 row against the
+    # closed form, to --order (4 at least).
     n = max(order, 4)
     t2 = tables(2, gmax)
     t3 = tables(3)  # it reaches --order + 1; J3 row g sits at x^(2g+4)
     j2 = tables.closed_form("J", 2, 2 * gmax + 2)
     for g in range(gmax + 1):
-        if localization.j2_from_loci(g, l2=t2) != egf_value(j2, 2 * g + 2):
-            return False
-    return hodge.j_series(t3, n) == tables.closed_form("J", 3, n)
+        yield localization.j2_from_loci(g, l2=t2), egf_value(j2, 2 * g + 2)
+    yield hodge.j_series(t3, n), tables.closed_form("J", 3, n)
 
 
 _SUITES = {
@@ -255,7 +276,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     tables = hodge.TableSource(args.order + 1, closed_order)
     failed = False
     for name in names:
-        ok = _SUITES[name](args.gmax, args.order, tables)
+        ok = _passes(_SUITES[name](args.gmax, args.order, tables))
         print(f"{name}: {'pass' if ok else 'fail'}")
         failed = failed or not ok
     return 1 if failed else 0
@@ -387,10 +408,16 @@ def main() -> None:
         code = run()
         sys.stdout.flush()
     except BrokenPipeError as exc:
-        # The reader closed stdout.  What is still buffered goes to devnull
-        # at shutdown, so the one line below is all that is printed.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = _usage_error(f"cannot write stdout: {exc.strerror}")
+        # The reader closed stdout, and stderr too if it shares the pipe.
+        # What is still buffered for a closed one goes to devnull at
+        # shutdown, so at most the one line below is printed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            _usage_error(f"cannot write stdout: {exc.strerror}")
+        except BrokenPipeError:
+            os.dup2(devnull, sys.stderr.fileno())
+        code = 2
     sys.exit(code)
 
 

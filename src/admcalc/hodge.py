@@ -33,6 +33,7 @@ loci one sum.  The L2 recursion still adds Fractions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -73,14 +74,15 @@ class HodgeTable:
     the relation sums read.  The degree-3 row is solved with the cover
     counts' closed forms, which ``_l3_weights`` reads.
 
-    Tables compare by value, and their attributes are read-only, so a cached
+    Tables compare by value.  Their attributes are read-only, and each row,
+    like the numerators of ``L_int`` and ``I_int``, is a tuple, so a cached
     row never outlives the ``L`` it was read off: a perturbed table is a new
-    ``HodgeTable(degree, L)``.
+    ``HodgeTable(degree, L)``, which stores ``L`` as a tuple.
     """
 
-    def __init__(self, degree: int, L: list[Fraction]):
+    def __init__(self, degree: int, L: Iterable[Fraction]):
         # Written past the guard below, as ``cached_property`` writes.
-        self.__dict__.update(degree=degree, L=L)
+        self.__dict__.update(degree=degree, L=tuple(L))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -101,25 +103,27 @@ class HodgeTable:
         return len(self.L) - 1
 
     @cached_property
-    def I(self) -> list[Fraction]:
+    def I(self) -> tuple[Fraction, ...]:
         """I2 = -L2/2 and I3 = (2/9) L3."""
-        return [_I_PER_L[self.degree] * value for value in self.L]
+        return tuple([_I_PER_L[self.degree] * value for value in self.L])
 
     @cached_property
-    def J(self) -> list[Fraction]:
+    def J(self) -> tuple[Fraction, ...]:
         """J_d(g), the EGF coefficients of d * I_d^2, from ``_j_numerators``."""
         summands = (_j_numerators(self, g) for g in range(len(self.L)))
-        return [Fraction(sum(terms), den) for terms, den in summands]
+        return tuple([Fraction(sum(terms), den) for terms, den in summands])
 
     @cached_property
-    def L_int(self) -> tuple[list[int], int]:
+    def L_int(self) -> tuple[tuple[int, ...], int]:
         """``L`` as integer numerators over their lcm denominator."""
-        return over_lcm(self.L)
+        nums, den = over_lcm(self.L)
+        return tuple(nums), den
 
     @cached_property
-    def I_int(self) -> tuple[list[int], int]:
+    def I_int(self) -> tuple[tuple[int, ...], int]:
         """``I`` as integer numerators over their lcm denominator."""
-        return over_lcm(self.I)
+        nums, den = over_lcm(self.I)
+        return tuple(nums), den
 
 
 def p2_closed(g: int) -> Fraction:
@@ -173,7 +177,7 @@ def _l3_weights(g: int) -> list[tuple[int, int]]:
     return weights
 
 
-def _j_terms(d: int, g: int, I: list[Fraction]) -> list[Fraction]:
+def _j_terms(d: int, g: int, I: Sequence[Fraction]) -> list[Fraction]:
     """Summands d C(2g+2d-2, 2i+d-1) I_d(i) I_d(g-i), i <= g, of J_d(g).
 
     This is the EGF-product expansion of d * I_d^2: I_d(i) sits at exponent
@@ -236,7 +240,7 @@ def _genus_for_order(degree: int, order: int) -> int:
 
 
 def _row_series(
-    table: HodgeTable, row: list[Fraction], shift: int, order: int
+    table: HodgeTable, row: tuple[Fraction, ...], shift: int, order: int
 ) -> TruncatedSeries:
     """EGF of one of the table's rows, row g at exponent 2g + d - 1 + shift.
 

@@ -318,11 +318,12 @@ def test_series_L_table_sized_by_order(capsys, monkeypatch, degree, order):
 
 
 def test_verify_all_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--all", "--gmax", "4", "--order", "11")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 8
-    assert all(line.endswith(": pass") for line in lines)
+    code, out, err = run_cli(capsys, "verify", "--all", "--gmax", "4", "--order", "11")
+    assert (code, err) == (0, "")
+    assert out == (
+        "rel2: pass\nlab: pass\node2: pass\node3: pass\nconjecture: pass\n"
+        "hurwitz: pass\nlinearizations: pass\naspinwall: pass\n"
+    )
 
 
 def test_verify_single_suite(capsys):
@@ -332,10 +333,20 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_reports_failure(capsys, monkeypatch):
-    monkeypatch.setitem(cli._SUITES, "rel2", lambda gmax, order, tables: False)
+    monkeypatch.setitem(cli._SUITES, "rel2", lambda gmax, order, tables: iter([(0, 1)]))
     code, out, _ = run_cli(capsys, "verify", "--all", "--gmax", "2", "--order", "6")
     assert code == 1
     assert "rel2: fail" in out
+
+
+def test_verify_stops_a_suite_at_its_first_mismatch(capsys, monkeypatch):
+    # The judge reads no pair past the first that differs.
+    def suite(gmax, order, tables):
+        yield 0, 1
+        raise AssertionError("a pair past the first mismatch was read")
+
+    monkeypatch.setitem(cli._SUITES, "rel2", suite)
+    assert run_cli(capsys, "verify", "--suite", "rel2") == (1, "rel2: fail\n", "")
 
 
 @pytest.mark.parametrize("d, g", [(3, 2), (2, 0), (3, 0)])
@@ -736,23 +747,28 @@ def test_output_into_missing_directory(tmp_path, capsys):
 )
 def test_closed_stdout_exits_2_in_one_line(argv, unbuffered):
     # The read end is closed before the command starts, so its first write
-    # fails, whether stdout is buffered or not.
+    # fails, whether stdout is buffered or not.  With stderr on the same
+    # pipe too, as under `2>&1 | head`, the one line cannot be written
+    # either, and the exit code is still 2.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(src)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        result = subprocess.run(
-            [sys.executable, "-m", "admcalc.cli", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
-        )
-    finally:
-        os.close(write_end)
-    assert result.returncode == 2, result.stderr
-    assert result.stderr == "admcalc: cannot write stdout: Broken pipe\n"
+    for shared in (False, True):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "admcalc.cli", *argv],
+                stdout=write_end, stderr=write_end if shared else subprocess.PIPE,
+                env=env, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2, (shared, result.stderr)
+        if not shared:
+            assert result.stderr == "admcalc: cannot write stdout: Broken pipe\n"
 
 
 @pytest.mark.parametrize("what", ["L2", "P2", "P3full", "P3trans"])

@@ -54,10 +54,10 @@ def test_tables_are_read_only_values():
     t = HodgeTable(2, L)
     assert t == HodgeTable(degree=2, L=list(L)) == l2_table(1)
     assert t != HodgeTable(3, L) and t != HodgeTable(2, L[:1]) and t != (2, L)
-    assert repr(t) == "HodgeTable(degree=2, L=[Fraction(1, 2), Fraction(1, 4)])"
+    assert repr(t) == "HodgeTable(degree=2, L=(Fraction(1, 2), Fraction(1, 4)))"
     with pytest.raises(TypeError):
         hash(t)
-    assert t.I == [F(-1, 4), F(-1, 8)]
+    assert t.I == (F(-1, 4), F(-1, 8))
     for name in ("degree", "L", "I"):
         before = getattr(t, name)
         with pytest.raises(AttributeError):
@@ -66,6 +66,16 @@ def test_tables_are_read_only_values():
             delattr(t, name)
         assert getattr(t, name) is before
     assert list(vars(t)) == ["degree", "L", "I"]
+
+
+def test_table_rows_cannot_be_edited_in_place():
+    # A row edited in place would leave the rows cached from it stale: with
+    # lists, ``t.I[1] += 1`` made ``t.J[1]`` read -7/2.
+    t = l2_table(3)
+    for row in (t.L, t.I, t.J, t.L_int[0], t.I_int[0]):
+        with pytest.raises(TypeError):
+            row[1] += 1
+    assert (t.L[1], t.I[1], t.J[1]) == (F(1, 4), F(-1, 8), F(1, 2))
 
 
 def test_table_invariants():
@@ -143,14 +153,14 @@ def fraction_convolution(d, I):
 @given(BUMP)
 def test_l3_table_matches_the_schoolbook_solve(bump):
     l2 = bumped(T2, bump)
-    assert l3_table(l2).L == schoolbook_l3(l2.L)
+    assert l3_table(l2).L == tuple(schoolbook_l3(l2.L))
 
 
 @DIFFERENTIAL
 @given(st.sampled_from([T2, T3]), BUMP)
 def test_j_row_matches_the_fraction_convolution(table, bump):
     t = bumped(table, bump)
-    assert t.J == fraction_convolution(t.degree, t.I)
+    assert t.J == tuple(fraction_convolution(t.degree, t.I))
 
 
 @pytest.mark.parametrize("degree", [2, 3], ids=["l2_table", "l3_table"])
@@ -159,12 +169,13 @@ def test_derived_rows_follow_a_replaced_l(degree):
     bumped = HodgeTable(t.degree, [t.L[0], t.L[1] + 1, *t.L[2:]])
     d, order = t.degree, 2 * t.gmax + 2 * t.degree - 2
     scale = F(-1, 2) if d == 2 else F(2, 9)
-    assert bumped.I == [scale * value for value in bumped.L]
+    assert bumped.I == tuple(scale * value for value in bumped.L)
     i_row = TruncatedSeries.from_egf(
         ((2 * g + d - 1, value) for g, value in enumerate(bumped.I)), order
     )
     square = d * i_row * i_row
-    assert bumped.J == [egf_value(square, 2 * g + 2 * d - 2) for g in range(t.gmax + 1)]
+    j_row = (egf_value(square, 2 * g + 2 * d - 2) for g in range(t.gmax + 1))
+    assert bumped.J == tuple(j_row)
     assert bumped.J != t.J
 
 
