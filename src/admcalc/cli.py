@@ -268,12 +268,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.order < 2:
         return _usage_error("order must be >= 2")
     names = list(_SUITES) if args.suite is None else [args.suite]
-    # --all reads each degree's closed form at up to two orders: 2 gmax + 2
-    # (rel2, lab and aspinwall's J2) and --order, 4 at least (conjecture and
-    # aspinwall's J3).  Built once at the larger, it serves both; a suite on
-    # its own reads each degree at one order.
-    closed_order = max(2 * args.gmax + 2, args.order, 4) if args.suite is None else 0
-    tables = hodge.TableSource(args.order + 1, closed_order)
+    tables = hodge.TableSource(args.order + 1)
+    if args.suite is None:
+        # --all reads each degree's closed form at up to two orders: 2 gmax + 2
+        # (rel2, lab and aspinwall's J2) and --order, 4 at least (conjecture
+        # and aspinwall's J3).  Asked first at the larger, it is built once; a
+        # suite on its own reads each degree at one order.
+        for d in (1, 2, 3):
+            tables.closed_form("I", d, max(2 * args.gmax + 2, args.order, 4))
     failed = False
     for name in names:
         ok = _passes(_SUITES[name](args.gmax, args.order, tables))
@@ -404,6 +406,12 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        # Unbuffered (-u, PYTHONUNBUFFERED), a reader closing mid-write cuts the
+        # one raw write of the answer short without an error.  A line-buffered
+        # writer writes each line whole or raises BrokenPipeError.
+        sys.stdout = open(sys.stdout.fileno(), "w", buffering=1, closefd=False,
+                          encoding=sys.stdout.encoding, errors=sys.stdout.errors)
     try:
         code = run()
         sys.stdout.flush()

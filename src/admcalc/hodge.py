@@ -39,7 +39,7 @@ from functools import cached_property
 from math import comb
 
 from .series import TruncatedSeries, cos_scaled, div, egf_value, sin_scaled
-from .series import append_over_lcm, over_lcm
+from .series import _Value, append_over_lcm, over_lcm
 
 __all__ = [
     "HodgeTable",
@@ -66,7 +66,7 @@ __all__ = [
 _I_PER_L = {2: Fraction(-1, 2), 3: Fraction(2, 9)}  # I_d = _I_PER_L[d] * L_d
 
 
-class HodgeTable:
+class HodgeTable(_Value):
     """The solved L-row for one of the two computed degrees; row g is genus g.
 
     The one- and two-point rows ``I`` and ``J`` are read off ``L`` when
@@ -74,29 +74,17 @@ class HodgeTable:
     the relation sums read.  The degree-3 row is solved with the cover
     counts' closed forms, which ``_l3_weights`` reads.
 
-    Tables compare by value.  Their attributes are read-only, and each row,
-    like the numerators of ``L_int`` and ``I_int``, is a tuple, so a cached
-    row never outlives the ``L`` it was read off: a perturbed table is a new
-    ``HodgeTable(degree, L)``, which stores ``L`` as a tuple.
+    Its fields are ``degree`` and ``L``.  Each row, like the numerators of
+    ``L_int`` and ``I_int``, is a tuple, so a cached row never outlives the
+    ``L`` it was read off: a perturbed table is a new ``HodgeTable(degree,
+    L)``, which stores ``L`` as a tuple.
     """
 
+    _fields = ("degree", "L")
+    __hash__ = None
+
     def __init__(self, degree: int, L: Iterable[Fraction]):
-        # Written past the guard below, as ``cached_property`` writes.
         self.__dict__.update(degree=degree, L=tuple(L))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.degree, self.L) == (other.degree, other.L)
-
-    def __repr__(self) -> str:
-        return f"HodgeTable(degree={self.degree!r}, L={self.L!r})"
 
     @property
     def gmax(self) -> int:
@@ -278,16 +266,15 @@ class TableSource:
 
     ``tables.closed_form(row, degree, n)`` returns the closed form of the
     degree's ``row`` ("I", "L" or "J") to order n, the one derivation of L and
-    J from I_d.  Each degree's I_d is built once, by ``conjecture_series`` at
-    the larger of n and ``closed_order``; every request reads a truncation of
-    it, exact since the series is prefix-stable, and one past the order built
-    builds it again.  Nothing outlives the source.  Tables, and L rows, exist
+    J from I_d.  Each degree's I_d is built by ``conjecture_series`` at the
+    order first asked; every request reads a truncation of it, exact since
+    the series is prefix-stable, and one past the order built builds it
+    again.  Nothing outlives the source.  Tables, and L rows, exist
     at degrees 2 and 3 only; any other request raises ValueError.
     """
 
-    def __init__(self, order: int, closed_order: int = 0):
+    def __init__(self, order: int):
         self._order = order
-        self._closed_order = closed_order
         self._solved: dict[int, HodgeTable] = {}
         self._closed: dict[int, TruncatedSeries] = {}
 
@@ -309,7 +296,7 @@ class TableSource:
             raise ValueError(f"no closed form for row {row!r} at degree {degree}")
         i_d = self._closed.get(degree)
         if i_d is None or i_d.order < n:
-            i_d = conjecture_series(degree, max(n, self._closed_order))
+            i_d = conjecture_series(degree, n)
             self._closed[degree] = i_d
         i_d = i_d.truncate(n)
         if row == "L":

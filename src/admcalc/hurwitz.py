@@ -38,10 +38,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import combinations, permutations
 from operator import itemgetter
+
+from .series import _Value
 
 __all__ = [
     "DEFAULT_MAX_TUPLES",
@@ -86,19 +88,10 @@ def _type_of_images(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(parts)
 
 
-class _ReadOnly:
-    """Attributes that cannot be rebound or deleted once ``__init__`` has
-    written them into ``__dict__``."""
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class CycleType(_ReadOnly):
+class CycleType(_Value):
     """Partition recording the cycle lengths of a permutation, longest first."""
+
+    _fields = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
         ordered = tuple(sorted(parts, reverse=True))
@@ -110,20 +103,11 @@ class CycleType(_ReadOnly):
     def degree(self) -> int:
         return sum(self.parts)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
 
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"CycleType(parts={self.parts!r})"
-
-
-class BranchProfile(_ReadOnly):
+class BranchProfile(_Value):
     """Degree plus one cycle type per branch point."""
+
+    _fields = ("degree", "profiles")
 
     def __init__(self, degree: int, profiles: tuple[CycleType, ...]):
         if degree < 1:
@@ -133,17 +117,6 @@ class BranchProfile(_ReadOnly):
             if t.degree != degree:
                 raise ValueError(f"cycle type {t.parts} does not partition {degree}")
         self.__dict__.update(degree=degree, profiles=profiles)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.degree, self.profiles) == (other.degree, other.profiles)
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.profiles))
-
-    def __repr__(self) -> str:
-        return f"BranchProfile(degree={self.degree!r}, profiles={self.profiles!r})"
 
 
 def _class_images(d: int, parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -193,11 +166,17 @@ def permutations_with_type(d: int, t: CycleType) -> list[tuple[int, ...]]:
     """
     if t.degree != d:
         raise ValueError(f"cycle type {t.parts} does not partition {d}")
-    if d * _class_size(d, t.parts) > MAX_CLASS_ENTRIES:
+    _check_class_entries(d, [_class_size(d, t.parts)])
+    return list(_class_images(d, t.parts))
+
+
+def _check_class_entries(d: int, sizes: Iterable[int]) -> None:
+    """Refuse class lists of S_d with these sizes if, together, they would
+    hold more than MAX_CLASS_ENTRIES image entries."""
+    if d * sum(sizes) > MAX_CLASS_ENTRIES:
         raise EnumerationBoundError(
             f"the class lists would hold more than {MAX_CLASS_ENTRIES} entries"
         )
-    return list(_class_images(d, t.parts))
 
 
 def _class_size(d: int, parts: tuple[int, ...]) -> int:
@@ -269,10 +248,7 @@ def hurwitz_count(
         # The product is not shown: at large degrees it has millions of
         # decimal digits, and writing them out takes seconds.
         raise EnumerationBoundError(f"search space exceeds the bound {max_tuples}")
-    if d * sum(sizes.values()) > MAX_CLASS_ENTRIES:
-        raise EnumerationBoundError(
-            f"the class lists would hold more than {MAX_CLASS_ENTRIES} entries"
-        )
+    _check_class_entries(d, sizes.values())
     weight = Fraction(1, math.factorial(d))
     if d == 1:
         # S_1 is trivial: one tuple of identities, transitive on one sheet.

@@ -11,6 +11,10 @@ row over its lcm, and ``append_over_lcm`` grows a row one value at a time, as
 ``div`` grows its quotient.  Binary operations insist on equal
 orders, so order bookkeeping mistakes surface as errors instead of silently
 wrong tails.
+
+``_Value``, the private base of the package's value types (the series here,
+the tables of ``hodge``, the cycle types and branch profiles of ``hurwitz``),
+owns their read-only fields, equality, hash and repr.
 """
 
 from __future__ import annotations
@@ -77,19 +81,55 @@ def _integer_terms(coeffs: Sequence[Fraction]) -> tuple[list[tuple[int, int]], i
     return [(k, a) for k, a in enumerate(nums) if a], den
 
 
-class TruncatedSeries:
-    """A power series known exactly through x^order.
+class _Value:
+    """Read-only fields, with equality, hash and repr over them.
 
-    Instances are immutable.  ``coeffs`` always has length ``order + 1``.
+    A subclass names its fields in ``_fields``; its ``__init__`` checks its
+    arguments and writes the fields once into ``__dict__``, past the guard,
+    as ``cached_property`` writes too.  Values are equal when their classes
+    are the same and their fields equal, and hash the same fields unless the
+    subclass sets ``__hash__ = None``.  The repr, ``Name(field=value, ...)``,
+    makes an equal value where the names in it are in scope.
     """
 
-    __slots__ = ("_coeffs",)
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class TruncatedSeries(_Value):
+    """A power series known exactly through x^order.
+
+    Its one field, ``coeffs``, is the tuple of its ``order + 1`` coefficients.
+    """
+
+    _fields = ("coeffs",)
+    __hash__ = None
 
     def __init__(self, coeffs: Iterable[int | Fraction]):
         cs = [_as_rational(c) for c in coeffs]
         if not cs:
             raise ValueError("a series needs at least one coefficient")
-        self._coeffs = tuple(cs)
+        self.__dict__["coeffs"] = tuple(cs)
 
     # -- constructors ------------------------------------------------------
 
@@ -119,27 +159,23 @@ class TruncatedSeries:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return len(self.coeffs) - 1
 
     def coeff(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
             raise IndexError(f"exponent {k} outside [0, {self.order}]")
-        return self._coeffs[k]
+        return self.coeffs[k]
 
     @property
     def constant_term(self) -> Fraction:
-        return self._coeffs[0]
+        return self.coeffs[0]
 
     def is_zero(self) -> bool:
-        return not any(self._coeffs)
+        return not any(self.coeffs)
 
     def valuation(self) -> int | None:
         """Smallest exponent with nonzero coefficient, or None if all zero."""
-        for k, c in enumerate(self._coeffs):
+        for k, c in enumerate(self.coeffs):
             if c:
                 return k
         return None
@@ -149,7 +185,7 @@ class TruncatedSeries:
             raise ValueError("cannot extend a truncated series")
         if order < 0:
             raise ValueError("order must be >= 0")
-        return TruncatedSeries(self._coeffs[: order + 1])
+        return TruncatedSeries(self.coeffs[: order + 1])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -163,20 +199,20 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
             return TruncatedSeries(
-                [a + b for a, b in zip(self._coeffs, other._coeffs)]
+                [a + b for a, b in zip(self.coeffs, other.coeffs)]
             )
         try:
             c = _as_rational(other)
         except TypeError:
             return NotImplemented
         return TruncatedSeries(
-            [self._coeffs[0] + c, *self._coeffs[1:]]
+            [self.coeffs[0] + c, *self.coeffs[1:]]
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._coeffs])
+        return TruncatedSeries([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "TruncatedSeries":
         if isinstance(other, (TruncatedSeries, int, Fraction)):
@@ -192,8 +228,8 @@ class TruncatedSeries:
             n = self.order
             # Integer sums over a_den * b_den, one Fraction per coefficient;
             # zero coefficients of either factor contribute no terms.
-            a_terms, a_den = _integer_terms(self._coeffs)
-            b_terms, b_den = _integer_terms(other._coeffs)
+            a_terms, a_den = _integer_terms(self.coeffs)
+            b_terms, b_den = _integer_terms(other.coeffs)
             sums = [0] * (n + 1)
             for i, a in a_terms:
                 for j, b in b_terms:
@@ -206,7 +242,7 @@ class TruncatedSeries:
             c = _as_rational(other)
         except TypeError:
             return NotImplemented
-        return TruncatedSeries([c * a for a in self._coeffs])
+        return TruncatedSeries([c * a for a in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -215,7 +251,7 @@ class TruncatedSeries:
         c = _as_rational(other)
         if not c:
             raise ZeroDivisionError("division by zero scalar")
-        return TruncatedSeries([a / c for a in self._coeffs])
+        return TruncatedSeries([a / c for a in self.coeffs])
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         if not isinstance(k, int) or k < 0:
@@ -232,18 +268,8 @@ class TruncatedSeries:
         if self.order < 1:
             raise ValueError("derivative needs order >= 1")
         return TruncatedSeries(
-            [k * c for k, c in enumerate(self._coeffs)][1:]
+            [k * c for k, c in enumerate(self.coeffs)][1:]
         )
-
-    # -- comparison and display -------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self._coeffs)!r})"
 
 
 def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:

@@ -735,6 +735,16 @@ def test_output_into_missing_directory(tmp_path, capsys):
     assert err.startswith("admcalc: ") and err.count("\n") == 1
 
 
+def script_env(unbuffered):
+    """The environment of ``python -m admcalc.cli``, stdout unbuffered or not."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize(
     "argv",
@@ -750,11 +760,7 @@ def test_closed_stdout_exits_2_in_one_line(argv, unbuffered):
     # fails, whether stdout is buffered or not.  With stderr on the same
     # pipe too, as under `2>&1 | head`, the one line cannot be written
     # either, and the exit code is still 2.
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(src)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    env = script_env(unbuffered)
     for shared in (False, True):
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -769,6 +775,25 @@ def test_closed_stdout_exits_2_in_one_line(argv, unbuffered):
         assert result.returncode == 2, (shared, result.stderr)
         if not shared:
             assert result.stderr == "admcalc: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_stdout_closed_mid_answer_exits_2_in_one_line(unbuffered):
+    # The reader takes the first bytes of a 289 KB answer and closes, while
+    # the rest is still to be written: a pipe holds 64 KB.  Unbuffered, the
+    # one raw write of the answer was cut short without an error, and the
+    # command exited 0 with the rest lost.
+    argv = ["series", "--what", "P", "--degree", "3", "--order", "500"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "admcalc.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=script_env(unbuffered),
+    )
+    assert child.stdout.read(100).startswith(b"# series what=P3full")
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert err == b"admcalc: cannot write stdout: Broken pipe\n"
 
 
 @pytest.mark.parametrize("what", ["L2", "P2", "P3full", "P3trans"])

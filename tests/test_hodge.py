@@ -381,7 +381,9 @@ def test_conjecture_series_matches_the_product_spelling(case):
 
 
 def test_table_source_closed_forms_are_truncations():
-    source = TableSource(0, closed_order=20)
+    source = TableSource(0)
+    for d in (2, 3):
+        source.closed_form("I", d, 20)
     assert source.closed_form("I", 2, 9) == conjecture_series(2, 9)
     assert source.closed_form("L", 2, 9) == closed_form_L2(9)
     assert source.closed_form("L", 3, 12) == closed_form_L3(12)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admcalc.hodge import HodgeTable
+from admcalc.hurwitz import BranchProfile, CycleType
 from admcalc.series import (
     OrderMismatchError,
     SeriesDivisionError,
@@ -342,6 +344,39 @@ def test_equality():
     g = TruncatedSeries([1, 2, 0, 0])
     assert f == g
     assert f != g.truncate(2)
+
+
+@pytest.mark.parametrize(
+    "value, names",
+    [
+        (TruncatedSeries([1, Fraction(1, 2), 0]), ("coeffs",)),
+        (HodgeTable(2, [Fraction(1, 2), Fraction(1, 4)]), ("degree", "L")),
+        (CycleType((1, 2)), ("parts",)),
+        (BranchProfile(3, (CycleType((3,)), CycleType((2, 1)))), ("degree", "profiles")),
+    ],
+    ids=["TruncatedSeries", "HodgeTable", "CycleType", "BranchProfile"],
+)
+def test_value_types_share_one_idiom(value, names):
+    # Read-only fields, equality within the exact class, a hash only for the
+    # hurwitz values, and a repr that makes an equal value.
+    cls = type(value)
+    fields = {name: getattr(value, name) for name in names}
+    for name, before in fields.items():
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    same, sub = cls(**fields), type("Sub", (cls,), {})(**fields)
+    assert value == same and value != sub and sub != value
+    assert value != tuple(fields.values())
+    if cls in (CycleType, BranchProfile):
+        assert hash(value) == hash(same)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+    scope = {"Fraction": Fraction, "CycleType": CycleType, cls.__name__: cls}
+    assert eval(repr(value), scope) == value
 
 
 # -- integer kernel against a schoolbook Fraction oracle ---------------------
