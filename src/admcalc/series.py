@@ -3,14 +3,19 @@
 Every coefficient is a ``fractions.Fraction``; no value ever passes through
 floating point.  A series is made from its full coefficient list, and its
 truncation order N (the largest tracked exponent) is one less than the list's
-length; each operation states the order of its result.  Products and
-quotients of two series sum integer numerators over a common denominator and
-build one ``Fraction`` per coefficient.  The two integer-row helpers are
-public, since ``hodge`` solves its tables with them too: ``over_lcm`` puts a
-row over its lcm, and ``append_over_lcm`` grows a row one value at a time, as
-``div`` grows its quotient.  Binary operations insist on equal
-orders, so order bookkeeping mistakes surface as errors instead of silently
-wrong tails.
+length; each operation states the order of its result.  Every series the
+package builds is an exponential generating function, so a series stores
+m! c_m, its EGF value at each exponent m, and reads its ordinary coefficients
+off those values when first asked.  On the values the derivative is a shift,
+sin(ax) and cos(ax) are +-a^m, a product is the binomial convolution
+sum_i C(m, i) A_i B_(m-i), and ``div`` solves that convolution for the
+quotient.  Products and quotients of two series sum integer numerators over
+a common denominator, with binomials from Pascal's rows, and build one
+``Fraction`` per value.  The two integer-row helpers are public, since
+``hodge`` solves its tables with them too: ``over_lcm`` puts a row over its
+lcm, and ``append_over_lcm`` grows a row one value at a time, as ``div``
+grows its quotient.  Binary operations insist on equal orders, so order
+bookkeeping mistakes surface as errors instead of silently wrong tails.
 
 ``_Value``, the private base of the package's value types (the series here,
 the tables of ``hodge``, the cycle types and branch profiles of ``hurwitz``),
@@ -19,9 +24,12 @@ owns their read-only fields, equality, hash and repr.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 
 __all__ = [
     "TruncatedSeries",
@@ -87,9 +95,11 @@ class _Value:
     A subclass names its fields in ``_fields``; its ``__init__`` checks its
     arguments and writes the fields once into ``__dict__``, past the guard,
     as ``cached_property`` writes too.  Values are equal when their classes
-    are the same and their fields equal, and hash the same fields unless the
-    subclass sets ``__hash__ = None``.  The repr, ``Name(field=value, ...)``,
-    makes an equal value where the names in it are in scope.
+    are the same and their ``_values()`` equal: the fields, unless the
+    subclass compares a form it stores in their place.  They hash the same
+    values unless the subclass sets ``__hash__ = None``.  The repr,
+    ``Name(field=value, ...)``, makes an equal value where the names in it
+    are in scope.
     """
 
     _fields: tuple[str, ...] = ()
@@ -119,19 +129,34 @@ class _Value:
 class TruncatedSeries(_Value):
     """A power series known exactly through x^order.
 
-    Its one field, ``coeffs``, is the tuple of its ``order + 1`` coefficients.
+    Its one field, ``coeffs``, is the tuple of its ``order + 1`` ordinary
+    coefficients.  The series stores m! c_m, the EGF value at each exponent
+    m, and reads ``coeffs`` off those values when first used; equality
+    compares the values, which are equal exactly when the coefficients are.
     """
 
     _fields = ("coeffs",)
     __hash__ = None
 
     def __init__(self, coeffs: Iterable[int | Fraction]):
-        cs = [_as_rational(c) for c in coeffs]
+        cs = tuple([_as_rational(c) for c in coeffs])
         if not cs:
             raise ValueError("a series needs at least one coefficient")
-        self.__dict__["coeffs"] = tuple(cs)
+        values = []
+        factorial = 1
+        for m, c in enumerate(cs):
+            factorial *= m or 1
+            values.append(c * factorial)
+        self.__dict__.update(coeffs=cs, _egf=tuple(values))
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, values: Iterable[Fraction]) -> "TruncatedSeries":
+        """The series with these EGF values, ``Fraction``s, stored as given."""
+        series = object.__new__(cls)
+        series.__dict__["_egf"] = tuple(values)
+        return series
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -146,20 +171,32 @@ class TruncatedSeries(_Value):
         Exponents may repeat (contributions add) but must lie in [0, order].
         This is the bridge from integer-indexed tables to their exponential
         generating functions, including families whose exponent is offset
-        from the index.
+        from the index; the values are stored as given.
         """
-        coeffs = [Fraction(0)] * (order + 1)
+        values = [Fraction(0)] * (order + 1)
         for exponent, value in terms:
             if not 0 <= exponent <= order:
                 raise ValueError(f"exponent {exponent} outside [0, {order}]")
-            coeffs[exponent] += _as_rational(value) / math.factorial(exponent)
-        return cls(coeffs)
+            values[exponent] += _as_rational(value)
+        return cls._of(values)
 
     # -- basic accessors ---------------------------------------------------
 
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        out = []
+        factorial = 1
+        for m, value in enumerate(self._egf):
+            factorial *= m or 1
+            out.append(value / factorial)
+        return tuple(out)
+
+    def _values(self) -> tuple:
+        return (self._egf,)
+
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._egf) - 1
 
     def coeff(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
@@ -168,15 +205,15 @@ class TruncatedSeries(_Value):
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs[0]
+        return self._egf[0]
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._egf)
 
     def valuation(self) -> int | None:
         """Smallest exponent with nonzero coefficient, or None if all zero."""
-        for k, c in enumerate(self.coeffs):
-            if c:
+        for k, value in enumerate(self._egf):
+            if value:
                 return k
         return None
 
@@ -185,7 +222,7 @@ class TruncatedSeries(_Value):
             raise ValueError("cannot extend a truncated series")
         if order < 0:
             raise ValueError("order must be >= 0")
-        return TruncatedSeries(self.coeffs[: order + 1])
+        return TruncatedSeries._of(self._egf[: order + 1])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -198,21 +235,19 @@ class TruncatedSeries(_Value):
     def __add__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
-            return TruncatedSeries(
-                [a + b for a, b in zip(self.coeffs, other.coeffs)]
+            return TruncatedSeries._of(
+                [a + b for a, b in zip(self._egf, other._egf)]
             )
         try:
             c = _as_rational(other)
         except TypeError:
             return NotImplemented
-        return TruncatedSeries(
-            [self.coeffs[0] + c, *self.coeffs[1:]]
-        )
+        return TruncatedSeries._of([self._egf[0] + c, *self._egf[1:]])
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries._of([-value for value in self._egf])
 
     def __sub__(self, other) -> "TruncatedSeries":
         if isinstance(other, (TruncatedSeries, int, Fraction)):
@@ -225,24 +260,28 @@ class TruncatedSeries(_Value):
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
-            n = self.order
-            # Integer sums over a_den * b_den, one Fraction per coefficient;
-            # zero coefficients of either factor contribute no terms.
-            a_terms, a_den = _integer_terms(self.coeffs)
-            b_terms, b_den = _integer_terms(other.coeffs)
-            sums = [0] * (n + 1)
-            for i, a in a_terms:
-                for j, b in b_terms:
-                    if i + j > n:
+            # The EGF product: value m is sum_i C(m, i) A_i B_(m-i), summed
+            # in integers over a_den * b_den with one Fraction per value;
+            # zero values of either factor contribute no terms.
+            a_terms, a_den = _integer_terms(self._egf)
+            b, b_den = over_lcm(other._egf)
+            sums = []
+            for m, row in enumerate(_pascal_rows(len(b))):
+                s = 0
+                for i, a in a_terms:
+                    if i > m:
                         break
-                    sums[i + j] += a * b
+                    y = b[m - i]
+                    if y:
+                        s += row[i] * a * y
+                sums.append(s)
             den = a_den * b_den
-            return TruncatedSeries([Fraction(s, den) for s in sums])
+            return TruncatedSeries._of([Fraction(s, den) for s in sums])
         try:
             c = _as_rational(other)
         except TypeError:
             return NotImplemented
-        return TruncatedSeries([c * a for a in self.coeffs])
+        return TruncatedSeries._of([c * value for value in self._egf])
 
     __rmul__ = __mul__
 
@@ -251,7 +290,7 @@ class TruncatedSeries(_Value):
         c = _as_rational(other)
         if not c:
             raise ZeroDivisionError("division by zero scalar")
-        return TruncatedSeries([a / c for a in self.coeffs])
+        return TruncatedSeries._of([value / c for value in self._egf])
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         if not isinstance(k, int) or k < 0:
@@ -264,12 +303,19 @@ class TruncatedSeries(_Value):
         return result
 
     def derivative(self) -> "TruncatedSeries":
-        """Formal derivative; order drops by one."""
+        """Formal derivative, a shift of the EGF values; order drops by one."""
         if self.order < 1:
             raise ValueError("derivative needs order >= 1")
-        return TruncatedSeries(
-            [k * c for k, c in enumerate(self.coeffs)][1:]
-        )
+        return TruncatedSeries._of(self._egf[1:])
+
+
+def _pascal_rows(count: int) -> Iterator[list[int]]:
+    """The rows C(m, 0..m) of Pascal's triangle for m < count, each by
+    additions from the one before."""
+    row = [1]
+    for _ in range(count):
+        yield row
+        row = [1, *map(add, row, row[1:]), 1]
 
 
 def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -289,41 +335,48 @@ def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
             raise SeriesDivisionError(
                 f"denominator valuation {v} exceeds numerator valuation {fv}"
             )
-    # Both are divided by x^v.  With g = G/g_den and the quotient so far
-    # q = Q/q_den in integers, q_k = (f_k - sum_i g_i q_(k-i)) / g_0 is one
-    # integer dot product and one Fraction.  q_den is the lcm of the
-    # denominators of q_0..q_(k-1).
-    g_terms, g_den = _integer_terms(g.coeffs[v:])
+    # h g = f read at exponent m + v, where g's values below v vanish: the
+    # EGF value f_(m+v) is sum_(i<=m) C(m+v, i) h_i g_(m+v-i), so h_m is
+    # (f_(m+v) - sum_(i<m) C(m+v, i) h_i g_(m+v-i)) / (C(m+v, m) g_v).  With
+    # g = Gn/g_den in integers and the quotient so far h = Q/q_den, that is
+    # one integer dot product and one Fraction; q_den is the lcm of the
+    # denominators of h_0..h_(m-1).  Zero quotient terms are skipped before
+    # a binomial is read.
+    g_terms, g_den = _integer_terms(g._egf)
     _, lead = g_terms[0]
-    tail = g_terms[1:]
+    tail = [(j - v, b) for j, b in g_terms[1:]]
     out: list[Fraction] = []
     nums: list[int] = []
     q_den = 1
-    for k, c in enumerate(f.coeffs[v:]):
+    for m, row in enumerate(itertools.islice(_pascal_rows(len(g._egf)), v, None)):
+        c = f._egf[m + v]
         dot = 0
-        for i, b in tail:
-            if i > k:
+        for j, b in tail:
+            if j > m:
                 break
-            dot += b * nums[k - i]
+            a = nums[m - j]
+            if a:
+                dot += row[m - j] * a * b
         p, q = c.numerator, c.denominator
         value, q_den = append_over_lcm(
-            nums, q_den, p * g_den * q_den - dot * q, q * q_den * lead
+            nums, q_den, p * g_den * q_den - dot * q, q * q_den * lead * row[m]
         )
         out.append(value)
-    return TruncatedSeries(out)
+    return TruncatedSeries._of(out)
 
 
 def _taylor(a: int | Fraction, order: int, first: int) -> TruncatedSeries:
-    """sin(a*x) (first = 1) or cos(a*x) (first = 0) through x^order, exactly."""
+    """sin(a*x) (first = 1) or cos(a*x) (first = 0) through x^order, exactly:
+    EGF value +-a^m at every m of the parity of ``first``."""
     if order < 0:
         raise ValueError("order must be >= 0")
     a = _as_rational(a)
-    coeffs = [Fraction(0)] * (order + 1)
-    sign = 1
-    for k in range(first, order + 1, 2):
-        coeffs[k] = sign * a**k / math.factorial(k)
-        sign = -sign
-    return TruncatedSeries(coeffs)
+    values = [Fraction(0)] * (order + 1)
+    power = a**first
+    for m in range(first, order + 1, 2):
+        values[m] = power if m % 4 < 2 else -power
+        power *= a * a
+    return TruncatedSeries._of(values)
 
 
 def sin_scaled(a: int | Fraction, order: int) -> TruncatedSeries:
@@ -337,5 +390,8 @@ def cos_scaled(a: int | Fraction, order: int) -> TruncatedSeries:
 
 
 def egf_value(f: TruncatedSeries, k: int) -> Fraction:
-    """k! times the coefficient of x^k: the table value an EGF encodes."""
-    return f.coeff(k) * math.factorial(k)
+    """k! times the coefficient of x^k: the table value an EGF encodes,
+    as the series stores it."""
+    if not 0 <= k <= f.order:
+        raise IndexError(f"exponent {k} outside [0, {f.order}]")
+    return f._egf[k]

@@ -263,6 +263,29 @@ def test_text_and_csv_outputs_match_the_benchmark_records(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == outputs[argv], argv
 
 
+# The sha256 of stdouts past the benchmark records' largest sizes (gmax 161,
+# order 323), recorded with the series kernel that stored ordinary
+# coefficients: the I3 row series, the J2 row series, the two cover-count
+# series and a closed form divided out at degree 5, all at order 601.
+DEEP_STDOUTS = {
+    "series --what I --degree 3 --order 601 --format json":
+        "f6632cbe9d5e135a9b28b6e208b1baafeab6dca2148b01514ad04bea65f45d59",
+    "series --what J --degree 2 --order 601 --format csv":
+        "e19e8b980e166ee73b40df62924cd1f1bd8693ab492110bcf2b9fe461ba2fc45",
+    "series --what P --degree 3 --order 601":
+        "c9ec44a2626cf3c6998918d4597da1ee536515bbdaa18174b9527a8a47840f4a",
+    "series --what conjecture --degree 5 --order 601 --format csv":
+        "eed4e5e463561bd07ca8a2b9223894022b262ec3b633a832d976bb835a4e3f3e",
+}
+
+
+@pytest.mark.parametrize("argv", DEEP_STDOUTS)
+def test_deep_outputs_keep_their_digests(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_STDOUTS[argv]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -378,6 +378,62 @@ def test_sine_power_is_the_series_power(d, N):
 def test_conjecture_series_matches_the_product_spelling(case):
     d, N = case
     assert conjecture_series(d, N) == product_conjecture_series(d, N)
+
+
+def tangent_numbers(n):
+    # T_1, T_3, ..., T_(2n-1), the EGF coefficients of tan x, by the integer
+    # recurrence of Knuth and Buckholtz (Math. Comp. 21, 1967).
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+def half_angle_coeffs(N):
+    # F(t) = (t/2)/sin(t/2) = 1 + sum_(g>=1) t^(2g) int psi^(2g-2) lambda_g
+    # (Faber-Pandharipande, Invent. Math. 139, 2000) through t^N.  Its
+    # coefficient of t^(2g) is (2^(2g-1) - 1) |B_2g| / (2^(2g-1) (2g)!), and
+    # |B_2g| = 2g T_(2g-1) / (4^g (4^g - 1)) from the tangent numbers.
+    tangents = tangent_numbers(N // 2 + 1)
+    coeffs = [F(1)] + [F(0)] * N
+    for g in range(1, N // 2 + 1):
+        bernoulli = F(2 * g * tangents[g - 1], 4**g * (4**g - 1))
+        half = 2 ** (2 * g - 1)
+        coeffs[2 * g] = (half - 1) * bernoulli / (half * factorial(2 * g))
+    return coeffs
+
+
+def lambda_g_series(d, N):
+    # The closed form as a product, with no series division:
+    #     I_d(x) = (-1)^(d-1)/d^2 * [(2 sin(x/2))^d / x] * F(dx).
+    power = (2 * sin_scaled(F(1, 2), N + 1)) ** d
+    over_x = TruncatedSeries(power.coeffs[1:])
+    f_dx = TruncatedSeries([c * d**k for k, c in enumerate(half_angle_coeffs(N))])
+    return over_x * f_dx * F((-1) ** (d - 1), d * d)
+
+
+def test_half_angle_series_holds_the_lambda_g_integrals():
+    # int psi^0 lambda_1 = 1/24 and int psi^2 lambda_2 = 7/5760; through
+    # t^40, F equals (t/2) / sin(t/2) divided out by the series kernel.
+    assert tangent_numbers(5) == [1, 2, 16, 272, 7936]
+    assert half_angle_coeffs(4) == [1, 0, F(1, 24), 0, F(7, 5760)]
+    half_t = TruncatedSeries([0, F(1, 2)] + [0] * 40)
+    assert div(half_t, sin_scaled(F(1, 2), 41)) == TruncatedSeries(half_angle_coeffs(40))
+
+
+@UNSHRUNK
+@given(st.integers(1, 9).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(d - 1, 60))))
+@example((1, 0))
+@example((9, 60))
+def test_conjecture_series_matches_the_lambda_g_spelling(case):
+    # The division route against the product of the lambda_g spelling: the
+    # arithmetic of the d >= 4 output, not the conjecture itself.
+    d, N = case
+    assert conjecture_series(d, N) == lambda_g_series(d, N)
 
 
 def test_table_source_closed_forms_are_truncations():

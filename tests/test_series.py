@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
@@ -467,3 +468,88 @@ def test_running_lcm_appends_end_as_the_over_lcm_of_the_row(values, q):
         appended, den = append_over_lcm(nums, den, p, q_k)
         assert appended == value and type(appended) is Fraction
     assert (nums, den) == over_lcm(values)
+
+
+# -- the EGF kernel against Fraction oracles on EGF values -------------------
+#
+# The series stores m! c_m.  These oracles work on those values alone, one
+# Fraction at a time, and read the result back through ``egf_value``; the
+# coefficients must still be ``Fraction``s.
+
+
+def egf_values(series):
+    return [egf_value(series, m) for m in range(series.order + 1)]
+
+
+def assert_egf_series(result, values):
+    assert egf_values(result) == values
+    assert_fraction_series(result, [v / factorial(m) for m, v in enumerate(values)])
+
+
+def binomial_convolution(a, b):
+    return [sum(comb(m, i) * a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+def egf_quotient(f, g):
+    # Divide both by x^v, which divides value m + v by (m+v)!/m!, then solve
+    # f = h g by the binomial convolution, one value at a time.
+    v = next(k for k, c in enumerate(g) if c)
+    f = [c / perm(m + v, v) for m, c in enumerate(f[v:])]
+    g = [c / perm(m + v, v) for m, c in enumerate(g[v:])]
+    h = []
+    for m in range(len(f)):
+        known = sum(comb(m, i) * h[i] * g[m - i] for i in range(m))
+        h.append((f[m] - known) / g[0])
+    return h
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(series_pair())
+def test_mul_matches_the_binomial_convolution_oracle(pair):
+    a, b = pair
+    order = len(a) - 1
+    product = TruncatedSeries.from_egf(enumerate(a), order) * TruncatedSeries.from_egf(
+        enumerate(b), order
+    )
+    assert_egf_series(product, binomial_convolution(a, b))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(series_pair(), st.integers(0, 4), st.data())
+def test_div_matches_the_egf_recurrence_oracle(pair, v, data):
+    f, g = pair
+    order = len(f) - 1
+    v = min(v, order)
+    # Values, not coefficients: g has valuation exactly v, f is divisible by
+    # x^v, and the quotient has order N - v.
+    lead = data.draw(st.sampled_from(COEFF_KINDS).flatmap(lambda kind: kind.filter(bool)))
+    g = [Fraction(0)] * v + [lead] + g[v + 1:]
+    f = [Fraction(0)] * v + f[v:]
+    quotient = div(
+        TruncatedSeries.from_egf(enumerate(f), order),
+        TruncatedSeries.from_egf(enumerate(g), order),
+    )
+    assert quotient.order == order - v
+    assert_egf_series(quotient, egf_quotient(f, g))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 14).flatmap(lambda n: coefficients(n + 1)))
+def test_derivative_multiplies_each_coefficient_by_its_exponent(coeffs):
+    derivative = TruncatedSeries(coeffs).derivative()
+    assert_fraction_series(derivative, [k * c for k, c in enumerate(coeffs)][1:])
+    assert egf_values(derivative) == egf_values(TruncatedSeries(coeffs))[1:]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(COEFF_KINDS).flatmap(lambda kind: kind), st.integers(0, 14))
+def test_sin_and_cos_coefficients_are_signed_powers_over_factorials(a, order):
+    # sin(ax) has (-1)^((k-1)/2) a^k / k! at odd k, cos(ax) (-1)^(k/2) a^k / k!
+    # at even k, and each is zero at the other parity.
+    for series, first in ((sin_scaled(a, order), 1), (cos_scaled(a, order), 0)):
+        expected = [
+            Fraction((-1) ** ((k - first) // 2) * a**k, factorial(k))
+            if k % 2 == first else Fraction(0)
+            for k in range(order + 1)
+        ]
+        assert_fraction_series(series, expected)
