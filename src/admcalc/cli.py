@@ -23,6 +23,7 @@ from .hurwitz import (
     BranchProfile,
     CycleType,
     EnumerationBoundError,
+    _covers_by_genus,
     hurwitz_count,
     p2,
     p3_full,
@@ -158,21 +159,21 @@ def _suite_conjecture(gmax: int, order: int, tables: hodge.TableSource) -> Itera
 
 
 def _suite_hurwitz(gmax: int, order: int, tables: hodge.TableSource) -> Iterator:
-    # Each cover count's enumeration against its closed form, genus 0..gmax.
-    # A family stops at the first genus the enumeration bound refuses: the
-    # raw tuple count grows with the genus, so every later genus would be
-    # refused too.
+    # Each cover count's enumeration against its closed form.  First the
+    # public count at genus 0, through ``hurwitz_count``'s fixed class and
+    # ``_connected_covers``: the acceptance gate calls that route, and no
+    # other pair checks it.  Then the family's per-genus fold,
+    # ``_covers_by_genus``, at every genus 0..gmax: one fold, two slots a
+    # genus, so no bound stops it.  Each fold takes its public count's
+    # degree and special cycle types.
     families = (
-        (p3_full, hodge.p3_full_closed),
-        (p3_trans, hodge.p3_trans_closed),
-        (p2, hodge.p2_closed),
+        (p3_full, (3, (3,)), hodge.p3_full_closed),
+        (p3_trans, (3,), hodge.p3_trans_closed),
+        (p2, (2,), hodge.p2_closed),
     )
-    for count, closed in families:
-        for g in range(gmax + 1):
-            try:
-                value = count(g)
-            except EnumerationBoundError:
-                break
+    for count, (d, *special), closed in families:
+        yield count(0), closed(0)
+        for g, value in _covers_by_genus(d, gmax, *special):
             yield value, closed(g)
 
 

@@ -157,12 +157,16 @@ def _l3_weights(g: int) -> list[tuple[int, int]]:
     b_i = 3 C(2g+3, 2i) (-1)^(g-i) P3_trans(g-i), with the counts read from
     ``p3_full_closed`` and ``p3_trans_closed``.
     """
+    n = 2 * g + 3
+    row = [1]  # row n of Pascal's triangle, to C(n, 2g + 1)
+    for k in range(2 * g + 1):
+        row.append(row[k] * (n - k) // (k + 1))
     weights = []
     for i in range(g + 1):
         sign = -1 if (g - i) % 2 else 1
         weights.append((
-            -2 * sign * comb(2 * g + 3, 2 * i + 1) * p3_full_closed(g - i),
-            3 * sign * comb(2 * g + 3, 2 * i) * p3_trans_closed(g - i),
+            -2 * sign * row[2 * i + 1] * p3_full_closed(g - i),
+            3 * sign * row[2 * i] * p3_trans_closed(g - i),
         ))
     return weights
 

@@ -21,6 +21,14 @@ fold checks its cycle type and, for connected counts, that it joins the
 orbits into one.  Each conjugacy class is built from its cycle structure,
 never by scanning S_d: its moved points are chosen first, then its cycles
 are placed among them, one recursion level per non-trivial cycle.
+``hurwitz_count`` and ``_covers_by_genus`` share the slot step and the close.
+
+``_covers_by_genus`` counts one cover family at every genus 0..gmax from a
+single fold.  A genus adds two simple points, so it folds two more slots into
+the states of the genus before and closes them once.  It fixes no class and
+checks no bound: at most d! Bell(d) states are held per slot (30 at degree
+3), so the work is two slots a genus, linear in gmax, which the CLI caps at
+5000.
 
 A hard bound on the raw search space, the product of the first n-1
 conjugacy class sizes, guards against accidental explosions.  It counts the
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import combinations, permutations
 from operator import itemgetter
@@ -255,22 +263,9 @@ def hurwitz_count(
         # (The fold needs d >= 2: itemgetter of one index is no tuple.)
         return weight
 
-    last_type = types[-1]
-    single_block = (0,) * d
-    merge_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
-
-    def merged(part: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
-        if part == single_block:
-            return part
-        key = (part, images)
-        got = merge_cache.get(key)
-        if got is None:
-            got = _merge(part, images)
-            merge_cache[key] = got
-        return got
-
+    merged = _merger(d)
     identity = tuple(range(d))
-    start = (identity, identity if connected else single_block)
+    start = (identity, identity if connected else (0,) * d)
     folded_types = types[:-1]
     if sizes:
         # The fixed class: one member starts the fold, counted |C| times.
@@ -282,16 +277,55 @@ def hurwitz_count(
     classes = {parts: list(_class_images(d, parts)) for parts in set(folded_types)}
     states = {start: 1}
     for parts in folded_types:
-        folded: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for (product, part), multiplicity in states.items():
-            compose = itemgetter(*product)  # images -> images o product
-            for images in classes[parts]:
-                key = (compose(images), merged(part, images))
-                folded[key] = folded.get(key, 0) + multiplicity
-        states = folded
+        states = _fold_slot(states, classes[parts], merged)
+    return weight * _close(states, types[-1], connected, merged)
 
+
+# A fold's states: (running product, orbit partition) -> multiplicity.
+_States = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
+_Merger = Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]
+
+
+def _merger(d: int) -> _Merger:
+    """``_merge`` on partitions of {0..d-1}, cached for one fold; the single
+    block merges to itself."""
+    single_block = (0,) * d
+    cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+
+    def merged(part: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
+        if part == single_block:
+            return part
+        key = (part, images)
+        got = cache.get(key)
+        if got is None:
+            got = _merge(part, images)
+            cache[key] = got
+        return got
+
+    return merged
+
+
+def _fold_slot(
+    states: _States, members: list[tuple[int, ...]], merged: _Merger
+) -> _States:
+    """The states after one more slot, whose permutation runs over ``members``."""
+    folded: _States = {}
+    for (product, part), multiplicity in states.items():
+        compose = itemgetter(*product)  # images -> images o product
+        for images in members:
+            key = (compose(images), merged(part, images))
+            folded[key] = folded.get(key, 0) + multiplicity
+    return folded
+
+
+def _close(
+    states: _States, last_type: tuple[int, ...], connected: bool, merged: _Merger
+) -> int:
+    """The tuples the states complete with a last permutation of cycle type
+    ``last_type``; with ``connected``, only the transitive ones."""
     # The last permutation is forced: product * last = identity.  It is the
     # inverse of the product, so it has the product's cycles.
+    single_block = (0,) * sum(last_type)
     total = 0
     for (product, part), multiplicity in states.items():
         if _type_of_images(product) != last_type:
@@ -299,17 +333,49 @@ def hurwitz_count(
         if connected and merged(part, product) != single_block:
             continue
         total += multiplicity
-    return weight * total
+    return total
+
+
+def _simple_points(d: int, g: int, special: tuple[tuple[int, ...], ...]) -> int:
+    """Riemann-Hurwitz: the simple branch points of a connected genus-g
+    degree-d cover of the line besides the ``special`` cycle types."""
+    if g < 0:
+        raise ValueError("genus must be >= 0")
+    return 2 * g + 2 * d - 2 - sum(d - len(parts) for parts in special)
 
 
 def _connected_covers(d: int, g: int, *special: tuple[int, ...]) -> Fraction:
     """Connected genus-g degree-d covers of the line: the ``special`` cycle types
-    first, then the 2g + 2d - 2 - sum(d - len(parts)) simple points they leave."""
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    simple = 2 * g + 2 * d - 2 - sum(d - len(parts) for parts in special)
+    first, then the simple points they leave."""
+    simple = _simple_points(d, g, special)
     types = [*map(CycleType, special)] + [CycleType((2,) + (1,) * (d - 2))] * simple
     return hurwitz_count(BranchProfile(d, tuple(types)), connected=True)
+
+
+def _covers_by_genus(
+    d: int, gmax: int, *special: tuple[int, ...]
+) -> Iterator[tuple[int, Fraction]]:
+    """Yield (g, ``_connected_covers(d, g, *special)``) for g = 0..gmax from one
+    fold (see the module docstring).  The special points must leave a simple
+    point at genus 0, the one the close forces."""
+    first = _simple_points(d, 0, special)
+    if first < 1:
+        raise ValueError("the special points leave no simple point at genus 0")
+    simple = (2,) + (1,) * (d - 2)
+    merged = _merger(d)
+    identity = tuple(range(d))
+    states = {(identity, identity): 1}
+    for parts in special:
+        states = _fold_slot(states, list(_class_images(d, parts)), merged)
+    transpositions = list(_class_images(d, simple))
+    for _ in range(first - 1):
+        states = _fold_slot(states, transpositions, merged)
+    weight = Fraction(1, math.factorial(d))
+    for g in range(gmax + 1):
+        if g:
+            states = _fold_slot(states, transpositions, merged)
+            states = _fold_slot(states, transpositions, merged)
+        yield g, weight * _close(states, simple, True, merged)
 
 
 def p2(g: int) -> Fraction:

@@ -416,26 +416,41 @@ def test_verify_series_suites_read_rows_up_to_gmax(
     assert (code, out) == ({"pass": 0, "fail": 1}[verdict], f"{suite}: {verdict}\n")
 
 
-def test_verify_hurwitz_range_follows_the_bound(capsys, monkeypatch):
-    # Each family runs to --gmax unless the enumeration bound refuses a genus
-    # first; p2's raw tuple count is 1 at every genus, so it is never refused.
-    counted = {}
+def test_verify_hurwitz_folds_every_genus_to_gmax(capsys, monkeypatch):
+    # The public counts run once each, at genus 0; each family's per-genus
+    # fold then reaches every genus 0..gmax, past where the enumeration
+    # bound refuses a public count (p3_trans at genus 8).
+    counted, folded = {}, {}
     for name in ("p3_full", "p3_trans", "p2"):
         count = getattr(cli, name)
 
         def spy(g, count=count, name=name):
-            value = count(g)
             counted.setdefault(name, []).append(g)
-            return value
+            return count(g)
 
         monkeypatch.setattr(cli, name, spy)
+    fold = cli._covers_by_genus
+
+    def spy_fold(d, gmax, *special):
+        for g, value in fold(d, gmax, *special):
+            folded.setdefault((d, *special), []).append(g)
+            yield g, value
+
+    monkeypatch.setattr(cli, "_covers_by_genus", spy_fold)
     code, out, _ = run_cli(capsys, "verify", "--suite", "hurwitz", "--gmax", "12")
     assert (code, out) == (0, "hurwitz: pass\n")
-    assert counted == {
-        "p3_full": list(range(9)),
-        "p3_trans": list(range(8)),
-        "p2": list(range(13)),
-    }
+    assert counted == {"p3_full": [0], "p3_trans": [0], "p2": [0]}
+    genera = list(range(13))
+    assert folded == {(3, (3,)): genera, (3,): genera, (2,): genera}
+
+
+def test_verify_hurwitz_catches_a_count_fault_at_genus_20(capsys, monkeypatch):
+    # The enumeration bound refuses the public p3_trans count from genus 8
+    # on; only the per-genus fold reaches genus 20.
+    closed = hodge.p3_trans_closed
+    monkeypatch.setattr(hodge, "p3_trans_closed", lambda g: closed(g) + (g == 20))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "hurwitz", "--gmax", "20")
+    assert (code, out) == (1, "hurwitz: fail\n")
 
 
 def test_verify_all_solves_each_table_once(capsys, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admcalc import hurwitz
+from admcalc import hodge, hurwitz
 from admcalc.hurwitz import (
     BranchProfile,
     CycleType,
@@ -20,7 +20,7 @@ from admcalc.hurwitz import (
     p3_trans,
     permutations_with_type,
 )
-from admcalc.hurwitz import _class_images
+from admcalc.hurwitz import _class_images, _connected_covers, _covers_by_genus
 
 PARTITIONS = {
     1: [(1,)],
@@ -437,3 +437,52 @@ def test_families_keep_their_profiles(monkeypatch, family, special, simple):
     with pytest.raises(ValueError, match="genus must be >= 0"):
         family(-1)
     assert len(calls) == 5
+
+
+# -- the per-genus fold ----------------------------------------------------
+
+
+@st.composite
+def families(draw):
+    """A degree, special cycle types that leave a simple point at genus 0,
+    and a gmax."""
+    d = draw(st.sampled_from([2, 3]))
+    special = draw(
+        st.lists(st.sampled_from(PARTITIONS[d]), max_size=3).filter(
+            lambda special: sum(d - len(parts) for parts in special) < 2 * d - 2
+        )
+    )
+    return d, special, draw(st.integers(0, 8))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(families())
+def test_fold_by_genus_matches_the_public_count(drawn):
+    # Each genus the bound admits, against hurwitz_count on the same profile.
+    d, special, gmax = drawn
+    folded = list(_covers_by_genus(d, gmax, *special))
+    assert [g for g, _ in folded] == list(range(gmax + 1))
+    for g, value in folded:
+        try:
+            expected = _connected_covers(d, g, *special)
+        except EnumerationBoundError:
+            break
+        assert value == expected
+
+
+def test_fold_by_genus_matches_the_closed_forms():
+    for (d, *special), closed in [
+        ((3, (3,)), hodge.p3_full_closed),
+        ((3,), hodge.p3_trans_closed),
+        ((2,), hodge.p2_closed),
+    ]:
+        assert all(
+            value == closed(g) for g, value in _covers_by_genus(d, 200, *special)
+        )
+
+
+def test_fold_by_genus_needs_a_simple_point_at_genus_0():
+    with pytest.raises(ValueError, match="no simple point"):
+        next(_covers_by_genus(2, 3, (2,), (2,)))
+    with pytest.raises(ValueError, match="no simple point"):
+        next(_covers_by_genus(1, 3))
