@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -762,6 +763,126 @@ def test_sizes_above_the_ceiling_are_refused(capsys, argv):
 
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+# -- the parser built for one request ---------------------------------------
+
+
+def _subcommands(parser):
+    """The names of the subcommands ``parser`` registers, in order."""
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return list(action.choices)
+
+
+@pytest.mark.parametrize("name", ["series", "table", "verify", "hurwitz"])
+def test_a_request_parser_registers_only_its_subcommand(name):
+    assert _subcommands(cli._build_parser([name])) == [name]
+    assert _subcommands(cli._build_parser([name, "--help"])) == [name]
+
+
+@pytest.mark.parametrize(
+    "argv", [None, [], ["-h"], ["--help"], ["--"], ["bogus"], ["--degree", "3"]],
+    ids=repr,
+)
+def test_without_a_subcommand_the_parser_registers_all_four(argv):
+    assert _subcommands(cli._build_parser(argv)) == [
+        "series", "table", "verify", "hurwitz"
+    ]
+
+
+# Each command's options, each with good and bad values; a flag that takes no
+# value has none.  "--deg" and "--max" are abbreviations argparse accepts.
+_VOCABULARY = {
+    "series": {
+        "--degree": ["2", "3", "-1", "x"], "--deg": ["3"],
+        "--order": ["0", "21", "5001", "y"], "--what": ["I", "P", "conjecture", "Q"],
+        "--format": ["text", "json", "xml"], "--output": ["out.txt"],
+    },
+    "table": {
+        "--what": ["L2", "P3full", "L9"], "--gmax": ["3", "-1", "5001", "z"],
+        "--format": ["csv", "xml"], "--output": ["out.txt"],
+    },
+    "verify": {
+        "--all": [], "--suite": ["rel2", "hurwitz", "every"],
+        "--gmax": ["2", "5001", "g"], "--order": ["1", "21", "o"],
+    },
+    "hurwitz": {
+        "--degree": ["3", "100001", "d"], "--profile": ["3", "2,1", "2,x", "0"],
+        "--disconnected": [], "--max-tuples": ["10", "-5", "m"], "--max": ["7"],
+    },
+}
+_EVERY_OPTION = {
+    flag: values for options in _VOCABULARY.values() for flag, values in options.items()
+}
+_STRAY = ["-h", "--help", "--bogus", "--", "bogus", "series", "hurwitz"]
+
+
+@st.composite
+def _parser_argv(draw):
+    # Half are _DRAWN_ARGV's requests, which mostly parse; half are tokens
+    # drawn from the vocabulary, which mostly end in a usage error.
+    if draw(st.booleans()):
+        return draw(_DRAWN_ARGV)
+    first = draw(st.sampled_from([*_VOCABULARY, "-h", "--help", "--", "bogus", None]))
+    options = _VOCABULARY.get(first, _EVERY_OPTION)
+    argv = [] if first is None else [first]
+    for _ in range(draw(st.integers(0, 8))):
+        # One token in five is stray, so that many argv parse.
+        token = draw(st.sampled_from([*options] if draw(st.integers(0, 4)) else _STRAY))
+        argv.append(token)
+        if options.get(token):
+            value = draw(st.sampled_from([*options[token], None]))
+            argv += [] if value is None else [value]
+    return argv
+
+
+def _parse(parser, argv):
+    """``parser.parse_args(argv)`` as (namespace or exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = parser.parse_args(argv)
+        except SystemExit as exc:
+            outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
+@given(_parser_argv())
+@example([])
+@example(["--help"])
+@example(["bogus"])
+@example(["hurwitz", "--help"])
+@example(["verify", "--all", "--suite", "rel2"])
+def test_the_request_parser_parses_as_the_full_parser(argv):
+    # The parser built for argv against the one with all four subcommands:
+    # the same namespace, or the same exit code, help text and usage error.
+    # Both run in one interpreter, so argparse's wording, which differs from
+    # one Python release to the next, is the same on both sides.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        assert _parse(cli._build_parser(argv), argv) == _parse(cli._build_parser(), argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hurwitz", "--degree", "3", "--profile", "3", "--profile", "3"], ["--help"], []],
+    ids=lambda argv: " ".join(argv) or "no argv",
+)
+def test_run_reads_sys_argv(capsys, monkeypatch, argv):
+    # run() parses sys.argv[1:], through the parser built for it, as
+    # run(argv) does.
+    expected = run_cli(capsys, *argv)
+    built, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda a=None: built.append(a) or build(a))
+    monkeypatch.setattr(sys, "argv", ["admcalc", *argv])
+    assert (run(), *capsys.readouterr()) == expected
+    assert built == [argv]
 
 
 def test_output_into_missing_directory(tmp_path, capsys):
