@@ -22,15 +22,16 @@ one derivation of the L and J closed forms from it (L scales I_d, J is d I_d^2);
 ``closed_form_L2/L3`` and ``j_relation_check`` read it, and a test checks the
 proven spellings above against it.  Its numerator is a finite sum of
 exponentials e^(i(d-2k)x/2), so each EGF value is an O(d) integer sum
-(``_sine_power``); the one series division by 2 sin(dx/2) still costs most,
-127 of 134 ms at d = 3 and order 601 (in-process, on a shared 2-core
-machine), where the numerator and 2 sin(3x/2) take 3 ms each.
+(``_sine_power``); the one series division by 2 sin(dx/2) costs most.
 
-The degree-3 relation and the J convolution are summed in integers, one
-Fraction per value, with the series kernel's row helpers: ``over_lcm`` gives
-each row its integer form, and ``l3_table`` grows L3 by ``append_over_lcm`` as
-``div`` grows a quotient.  ``_j_numerators`` gives the J row and the two-point
-loci one sum.  The L2 recursion still adds Fractions.
+The three relations take their binomials from one walker, ``_every_other``,
+which steps along every other entry of a Pascal row by one product and one
+exact division, so no genus loop calls ``comb``.  The degree-3 relation and
+the J convolution are summed in integers, one Fraction per value, with the
+series kernel's row helpers: ``over_lcm`` gives each row its integer form, and
+``l3_table`` grows L3 by ``append_over_lcm`` as ``div`` grows a quotient.
+``_j_numerators`` gives the J row and the two-point loci one sum.  The L2
+recursion still adds Fractions.
 """
 
 from __future__ import annotations
@@ -144,9 +145,22 @@ def p3_trans_closed(g: int) -> int:
 # locus, so their identities restate these relations.
 
 
+def _every_other(n: int, k: int, count: int) -> list[int]:
+    """C(n, k), C(n, k + 2), ...: ``count`` binomials of row n, every other one
+    from k >= 0, each from the one before by one product and one exact
+    division; past the row's end they are 0."""
+    if count <= 0:
+        return []
+    row = [comb(n, k)]
+    for j in range(k, k + 2 * count - 2, 2):
+        row.append(row[-1] * ((n - j) * (n - j - 1)) // ((j + 1) * (j + 2)))
+    return row
+
+
 def _l2_terms(g: int, L2: list[Fraction]) -> list[Fraction]:
     """Summands (-1)^(g-i+1) C(2g+1, 2i) L2(i), i < g, of 2g L2(g)."""
-    return [(-1) ** (g - i + 1) * comb(2 * g + 1, 2 * i) * L2[i] for i in range(g)]
+    row = _every_other(2 * g + 1, 0, g)
+    return [c * L2[i] if (g - i) % 2 else -c * L2[i] for i, c in enumerate(row)]
 
 
 def _l3_weights(g: int) -> list[tuple[int, int]]:
@@ -157,16 +171,14 @@ def _l3_weights(g: int) -> list[tuple[int, int]]:
     b_i = 3 C(2g+3, 2i) (-1)^(g-i) P3_trans(g-i), with the counts read from
     ``p3_full_closed`` and ``p3_trans_closed``.
     """
-    n = 2 * g + 3
-    row = [1]  # row n of Pascal's triangle, to C(n, 2g + 1)
-    for k in range(2 * g + 1):
-        row.append(row[k] * (n - k) // (k + 1))
+    odd = _every_other(2 * g + 3, 1, g + 1)
+    even = _every_other(2 * g + 3, 0, g + 1)
     weights = []
     for i in range(g + 1):
         sign = -1 if (g - i) % 2 else 1
         weights.append((
-            -2 * sign * row[2 * i + 1] * p3_full_closed(g - i),
-            3 * sign * row[2 * i] * p3_trans_closed(g - i),
+            -2 * sign * odd[i] * p3_full_closed(g - i),
+            3 * sign * even[i] * p3_trans_closed(g - i),
         ))
     return weights
 
@@ -177,10 +189,8 @@ def _j_terms(d: int, g: int, I: Sequence[Fraction]) -> list[Fraction]:
     This is the EGF-product expansion of d * I_d^2: I_d(i) sits at exponent
     2i+d-1, so the binomial splits the 2g+2d-2 slots accordingly.
     """
-    return [
-        d * comb(2 * g + 2 * d - 2, 2 * i + d - 1) * I[i] * I[g - i]
-        for i in range(g + 1)
-    ]
+    row = _every_other(2 * g + 2 * d - 2, d - 1, g + 1)
+    return [d * c * I[i] * I[g - i] for i, c in enumerate(row)]
 
 
 def _j_numerators(table: HodgeTable, g: int) -> tuple[list[int], int]:

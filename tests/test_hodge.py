@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from admcalc.hodge import (
     HodgeTable,
     TableSource,
+    _every_other,
+    _j_terms,
+    _l2_terms,
     _l3_weights,
     _sine_power,
     closed_form_L2,
@@ -102,9 +105,22 @@ def three_product_l3_weights(g):
     ]
 
 
+def comb_l2_terms(g, L2):
+    """The L2 recursion's summands as it writes them, one ``comb`` each."""
+    return [(-1) ** (g - i + 1) * comb(2 * g + 1, 2 * i) * L2[i] for i in range(g)]
+
+
+def comb_j_terms(d, g, I):
+    """The J convolution's summands as it writes them, one ``comb`` each."""
+    return [
+        d * comb(2 * g + 2 * d - 2, 2 * i + d - 1) * I[i] * I[g - i]
+        for i in range(g + 1)
+    ]
+
+
 def test_l3_weights_match_the_three_products():
     # The weights are those of 3 times the relation, in integers.
-    for g in range(26):
+    for g in range(81):
         weights = _l3_weights(g)
         assert weights == [(3 * a, 3 * b) for a, b in three_product_l3_weights(g)]
         assert all(type(w) is int for pair in weights for w in pair)
@@ -142,11 +158,7 @@ def schoolbook_l3(l2_row):
 
 
 def fraction_convolution(d, I):
-    return [
-        sum(d * comb(2 * g + 2 * d - 2, 2 * i + d - 1) * I[i] * I[g - i]
-            for i in range(g + 1))
-        for g in range(len(I))
-    ]
+    return [sum(comb_j_terms(d, g, I)) for g in range(len(I))]
 
 
 @DIFFERENTIAL
@@ -161,6 +173,48 @@ def test_l3_table_matches_the_schoolbook_solve(bump):
 def test_j_row_matches_the_fraction_convolution(table, bump):
     t = bumped(table, bump)
     assert t.J == tuple(fraction_convolution(t.degree, t.I))
+
+
+@DIFFERENTIAL
+@given(st.integers(0, 200).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n // 2 + 4))))
+@example((0, 0))
+@example((1, 3))
+@example((200, 0))
+@example((200, 103))
+def test_every_other_walks_the_binomial_row(case):
+    # From every start, to count 0 and past the row's end, where C(n, k) = 0.
+    n, count = case
+    for k in range(n + 4):
+        assert _every_other(n, k, count) == [comb(n, k + 2 * j) for j in range(count)]
+
+
+# Term faults hand the term functions rows with zeros and denominators that
+# no true row has; the tables and catalogs hand them integer numerators.
+TERM_ROW = st.one_of(
+    st.just(F(0)),
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+)
+
+
+@DIFFERENTIAL
+@given(st.integers(0, 80).flatmap(
+    lambda g: st.tuples(st.just(g), st.lists(TERM_ROW, min_size=g, max_size=g))))
+@example((80, [F(1, 2)] * 80))
+def test_l2_terms_match_the_comb_spelling(case):
+    g, row = case
+    assert _l2_terms(g, row) == comb_l2_terms(g, row)
+
+
+@DIFFERENTIAL
+@given(st.integers(1, 9), st.integers(0, 80).flatmap(
+    lambda g: st.tuples(st.just(g), st.lists(TERM_ROW, min_size=g + 1, max_size=g + 1))))
+@example(9, (80, [F(-1, 4)] * 81))
+@example(1, (0, [0]))
+def test_j_terms_match_the_comb_spelling(d, case):
+    g, row = case
+    assert _j_terms(d, g, row) == comb_j_terms(d, g, row)
 
 
 @pytest.mark.parametrize("degree", [2, 3], ids=["l2_table", "l3_table"])
