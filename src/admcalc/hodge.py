@@ -67,6 +67,7 @@ __all__ = [
 
 
 _I_PER_L = {2: Fraction(-1, 2), 3: Fraction(2, 9)}  # I_d = _I_PER_L[d] * L_d
+_HALF = Fraction(1, 2)
 
 
 class HodgeTable(_Value):
@@ -121,7 +122,7 @@ def p2_closed(g: int) -> Fraction:
     """Count of genus-g connected double covers (any g): always 1/2."""
     if g < 0:
         raise ValueError("genus must be >= 0")
-    return Fraction(1, 2)
+    return _HALF
 
 
 def p3_full_closed(g: int) -> int:

@@ -1,21 +1,21 @@
 """Exact truncated power series over the rationals.
 
-Every coefficient is a ``fractions.Fraction``; no value ever passes through
-floating point.  A series is made from its full coefficient list, and its
-truncation order N (the largest tracked exponent) is one less than the list's
-length; each operation states the order of its result.  Every series the
-package builds is an exponential generating function, so a series stores
-m! c_m, its EGF value at each exponent m, and reads its ordinary coefficients
-off those values when first asked.  On the values the derivative is a shift,
-sin(ax) and cos(ax) are +-a^m, a product is the binomial convolution
-sum_i C(m, i) A_i B_(m-i), and ``div`` solves that convolution for the
-quotient.  Products and quotients of two series sum integer numerators over
-a common denominator, with binomials from Pascal's rows, and build one
-``Fraction`` per value.  The two integer-row helpers are public, since
-``hodge`` solves its tables with them too: ``over_lcm`` puts a row over its
-lcm, and ``append_over_lcm`` grows a row one value at a time, as ``div``
-grows its quotient.  Binary operations insist on equal orders, so order
-bookkeeping mistakes surface as errors instead of silently wrong tails.
+No value ever passes through floating point.  A series is made from its full
+coefficient list, and its truncation order N (the largest tracked exponent) is
+one less than the list's length; each operation states the order of its
+result.  Every series the package builds is an exponential generating
+function, so a series stores m! c_m, its EGF value at each exponent m, as one
+integer row over one positive denominator, in lowest terms, so that equal
+series have equal rows.  On the values the derivative is a shift, sin(ax) and
+cos(ax) are +-a^m, a product is the binomial convolution sum_i C(m, i) A_i
+B_(m-i) of the two rows, with binomials from Pascal's rows, and ``div``
+solves that convolution for the quotient.  ``Fraction``s are built only where
+the API returns them: ``coeffs``, ``coeff``, ``constant_term`` and
+``egf_value``.  The two integer-row helpers are public, since ``hodge`` solves
+its tables with them too: ``over_lcm`` puts a row over its lcm, and
+``append_over_lcm`` grows a row one value at a time, as ``div`` grows its
+quotient.  Binary operations insist on equal orders, so order bookkeeping
+mistakes surface as errors instead of silently wrong tails.
 
 ``_Value``, the private base of the package's value types (the series here,
 the tables of ``hodge``, the cycle types and branch profiles of ``hurwitz``),
@@ -52,19 +52,18 @@ class SeriesDivisionError(ArithmeticError):
     """Series division has no well-defined truncated quotient."""
 
 
-def _as_rational(value: int | Fraction) -> Fraction:
-    # Floats are rejected outright rather than converted: exactness is the
-    # whole point of this module.
+def _as_rational(value: int | Fraction) -> int | Fraction:
+    # Floats are rejected outright rather than converted: exactness is the whole
+    # point of this module.  Ints and Fractions pass as they are; both have a
+    # numerator and a denominator.
     if isinstance(value, float):
         raise TypeError("float coefficients are not allowed; use Fraction or int")
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as a rational coefficient")
 
 
-def over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def over_lcm(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """``values`` as integer numerators over their lcm denominator."""
     den = math.lcm(*(value.denominator for value in values))
     return [value.numerator * (den // value.denominator) for value in values], den
@@ -81,12 +80,6 @@ def append_over_lcm(nums: list[int], den: int, p, q: int) -> tuple[Fraction, int
         den *= scale
     nums.append(value.numerator * (den // value.denominator))
     return value, den
-
-
-def _integer_terms(coeffs: Sequence[Fraction]) -> tuple[list[tuple[int, int]], int]:
-    """The nonzero coefficients as (exponent, numerator) over their lcm denominator."""
-    nums, den = over_lcm(coeffs)
-    return [(k, a) for k, a in enumerate(nums) if a], den
 
 
 class _Value:
@@ -131,32 +124,40 @@ class TruncatedSeries(_Value):
 
     Its one field, ``coeffs``, is the tuple of its ``order + 1`` ordinary
     coefficients.  The series stores m! c_m, the EGF value at each exponent
-    m, and reads ``coeffs`` off those values when first used; equality
-    compares the values, which are equal exactly when the coefficients are.
+    m, as the integer row ``_nums`` over the positive denominator ``_den`` in
+    lowest terms, and reads ``coeffs`` off that row when first used; equality
+    compares the rows, which are equal exactly when the coefficients are.
     """
 
     _fields = ("coeffs",)
     __hash__ = None
 
     def __init__(self, coeffs: Iterable[int | Fraction]):
-        cs = tuple([_as_rational(c) for c in coeffs])
-        if not cs:
+        nums, den = over_lcm([_as_rational(c) for c in coeffs])
+        if not nums:
             raise ValueError("a series needs at least one coefficient")
-        values = []
         factorial = 1
-        for m, c in enumerate(cs):
-            factorial *= m or 1
-            values.append(c * factorial)
-        self.__dict__.update(coeffs=cs, _egf=tuple(values))
+        for m in range(1, len(nums)):
+            factorial *= m
+            nums[m] *= factorial
+        self._store(nums, den)
+
+    def _store(self, nums: Sequence[int], den: int) -> "TruncatedSeries":
+        """Write the EGF values nums[m]/den, den nonzero, in lowest terms."""
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+        self.__dict__.update(_nums=tuple(nums), _den=den)
+        return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _of(cls, values: Iterable[Fraction]) -> "TruncatedSeries":
-        """The series with these EGF values, ``Fraction``s, stored as given."""
-        series = object.__new__(cls)
-        series.__dict__["_egf"] = tuple(values)
-        return series
+    def _of(cls, nums: Sequence[int], den: int) -> "TruncatedSeries":
+        """The series with EGF values nums[m]/den."""
+        return object.__new__(cls)._store(nums, den)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -171,14 +172,14 @@ class TruncatedSeries(_Value):
         Exponents may repeat (contributions add) but must lie in [0, order].
         This is the bridge from integer-indexed tables to their exponential
         generating functions, including families whose exponent is offset
-        from the index; the values are stored as given.
+        from the index; the values are put over their lcm once.
         """
-        values = [Fraction(0)] * (order + 1)
+        values = [0] * (order + 1)
         for exponent, value in terms:
             if not 0 <= exponent <= order:
                 raise ValueError(f"exponent {exponent} outside [0, {order}]")
             values[exponent] += _as_rational(value)
-        return cls._of(values)
+        return cls._of(*over_lcm(values))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -186,17 +187,17 @@ class TruncatedSeries(_Value):
     def coeffs(self) -> tuple[Fraction, ...]:
         out = []
         factorial = 1
-        for m, value in enumerate(self._egf):
+        for m, num in enumerate(self._nums):
             factorial *= m or 1
-            out.append(value / factorial)
+            out.append(Fraction(num, self._den * factorial))
         return tuple(out)
 
     def _values(self) -> tuple:
-        return (self._egf,)
+        return (self._nums, self._den)
 
     @property
     def order(self) -> int:
-        return len(self._egf) - 1
+        return len(self._nums) - 1
 
     def coeff(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
@@ -205,49 +206,48 @@ class TruncatedSeries(_Value):
 
     @property
     def constant_term(self) -> Fraction:
-        return self._egf[0]
+        return Fraction(self._nums[0], self._den)
 
     def is_zero(self) -> bool:
-        return not any(self._egf)
+        return not any(self._nums)
 
     def valuation(self) -> int | None:
         """Smallest exponent with nonzero coefficient, or None if all zero."""
-        for k, value in enumerate(self._egf):
-            if value:
-                return k
-        return None
+        return next((k for k, num in enumerate(self._nums) if num), None)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         if order < 0:
             raise ValueError("order must be >= 0")
-        return TruncatedSeries._of(self._egf[: order + 1])
+        return TruncatedSeries._of(self._nums[: order + 1], self._den)
 
     # -- arithmetic --------------------------------------------------------
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
-            raise OrderMismatchError(
-                f"orders differ: {self.order} != {other.order}"
-            )
+            raise OrderMismatchError(f"orders differ: {self.order} != {other.order}")
 
     def __add__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            self._check_order(other)
-            return TruncatedSeries._of(
-                [a + b for a, b in zip(self._egf, other._egf)]
-            )
-        try:
-            c = _as_rational(other)
-        except TypeError:
-            return NotImplemented
-        return TruncatedSeries._of([self._egf[0] + c, *self._egf[1:]])
+        if not isinstance(other, TruncatedSeries):
+            try:
+                c = _as_rational(other)
+            except TypeError:
+                return NotImplemented
+            other = TruncatedSeries._of([c.numerator] + [0] * self.order, c.denominator)
+        self._check_order(other)
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        nums = [a * x + b * y for x, y in zip(self._nums, other._nums)]
+        return TruncatedSeries._of(nums, den)
 
     __radd__ = __add__
 
+    def _scaled(self, p: int, q: int) -> "TruncatedSeries":
+        return TruncatedSeries._of([p * x for x in self._nums], q * self._den)
+
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._of([-value for value in self._egf])
+        return self._scaled(-1, 1)
 
     def __sub__(self, other) -> "TruncatedSeries":
         if isinstance(other, (TruncatedSeries, int, Fraction)):
@@ -261,27 +261,26 @@ class TruncatedSeries(_Value):
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
             # The EGF product: value m is sum_i C(m, i) A_i B_(m-i), summed
-            # in integers over a_den * b_den with one Fraction per value;
-            # zero values of either factor contribute no terms.
-            a_terms, a_den = _integer_terms(self._egf)
-            b, b_den = over_lcm(other._egf)
+            # on the two rows over a_den * b_den; zero values of either
+            # factor contribute no terms.
+            a_terms = [(i, x) for i, x in enumerate(self._nums) if x]
+            b = other._nums
             sums = []
             for m, row in enumerate(_pascal_rows(len(b))):
                 s = 0
-                for i, a in a_terms:
+                for i, x in a_terms:
                     if i > m:
                         break
                     y = b[m - i]
                     if y:
-                        s += row[i] * a * y
+                        s += row[i] * x * y
                 sums.append(s)
-            den = a_den * b_den
-            return TruncatedSeries._of([Fraction(s, den) for s in sums])
+            return TruncatedSeries._of(sums, self._den * other._den)
         try:
             c = _as_rational(other)
         except TypeError:
             return NotImplemented
-        return TruncatedSeries._of([c * value for value in self._egf])
+        return self._scaled(c.numerator, c.denominator)
 
     __rmul__ = __mul__
 
@@ -290,7 +289,7 @@ class TruncatedSeries(_Value):
         c = _as_rational(other)
         if not c:
             raise ZeroDivisionError("division by zero scalar")
-        return TruncatedSeries._of([value / c for value in self._egf])
+        return self._scaled(c.denominator, c.numerator)
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         if not isinstance(k, int) or k < 0:
@@ -306,7 +305,7 @@ class TruncatedSeries(_Value):
         """Formal derivative, a shift of the EGF values; order drops by one."""
         if self.order < 1:
             raise ValueError("derivative needs order >= 1")
-        return TruncatedSeries._of(self._egf[1:])
+        return TruncatedSeries._of(self._nums[1:], self._den)
 
 
 def _pascal_rows(count: int) -> Iterator[list[int]]:
@@ -337,46 +336,47 @@ def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
             )
     # h g = f read at exponent m + v, where g's values below v vanish: the
     # EGF value f_(m+v) is sum_(i<=m) C(m+v, i) h_i g_(m+v-i), so h_m is
-    # (f_(m+v) - sum_(i<m) C(m+v, i) h_i g_(m+v-i)) / (C(m+v, m) g_v).  With
-    # g = Gn/g_den in integers and the quotient so far h = Q/q_den, that is
-    # one integer dot product and one Fraction; q_den is the lcm of the
-    # denominators of h_0..h_(m-1).  Zero quotient terms are skipped before
-    # a binomial is read.
-    g_terms, g_den = _integer_terms(g._egf)
-    _, lead = g_terms[0]
-    tail = [(j - v, b) for j, b in g_terms[1:]]
-    out: list[Fraction] = []
-    nums: list[int] = []
+    # (f_(m+v) - sum_(i<m) C(m+v, i) h_i g_(m+v-i)) / (C(m+v, m) g_v).  On
+    # the rows f = F/(k f_den), g = G/(k g_den), with k their denominators'
+    # gcd, and h = H/q_den so far, that is one integer dot product and one
+    # reduced ratio; q_den is the lcm of the denominators of h_0..h_(m-1).
+    # Zero quotient terms are skipped before a binomial is read.
+    k = math.gcd(f._den, g._den)
+    F, f_den = f._nums, f._den // k
+    G, g_den = g._nums, g._den // k
+    lead = G[v]
+    tail = [(j - v, b) for j, b in enumerate(G) if b and j > v]
+    H: list[int] = []
     q_den = 1
-    for m, row in enumerate(itertools.islice(_pascal_rows(len(g._egf)), v, None)):
-        c = f._egf[m + v]
+    for m, row in enumerate(itertools.islice(_pascal_rows(len(G)), v, None)):
         dot = 0
         for j, b in tail:
             if j > m:
                 break
-            a = nums[m - j]
+            a = H[m - j]
             if a:
                 dot += row[m - j] * a * b
-        p, q = c.numerator, c.denominator
-        value, q_den = append_over_lcm(
-            nums, q_den, p * g_den * q_den - dot * q, q * q_den * lead * row[m]
+        _, q_den = append_over_lcm(
+            H, q_den, F[m + v] * g_den * q_den - dot * f_den, f_den * q_den * lead * row[m]
         )
-        out.append(value)
-    return TruncatedSeries._of(out)
+    return TruncatedSeries._of(H, q_den)
 
 
 def _taylor(a: int | Fraction, order: int, first: int) -> TruncatedSeries:
     """sin(a*x) (first = 1) or cos(a*x) (first = 0) through x^order, exactly:
-    EGF value +-a^m at every m of the parity of ``first``."""
+    EGF value +-a^m at every m of the parity of ``first``, with a = p/q
+    written as +-p^m q^(order-m) over q^order."""
     if order < 0:
         raise ValueError("order must be >= 0")
     a = _as_rational(a)
-    values = [Fraction(0)] * (order + 1)
-    power = a**first
+    p, q = a.numerator, a.denominator
+    nums = [0] * (order + 1)
+    p_power, q_power = p**first, q ** max(order - first, 0)
     for m in range(first, order + 1, 2):
-        values[m] = power if m % 4 < 2 else -power
-        power *= a * a
-    return TruncatedSeries._of(values)
+        nums[m] = p_power * q_power if m % 4 < 2 else -p_power * q_power
+        p_power *= p * p
+        q_power //= q * q
+    return TruncatedSeries._of(nums, q**order)
 
 
 def sin_scaled(a: int | Fraction, order: int) -> TruncatedSeries:
@@ -394,4 +394,4 @@ def egf_value(f: TruncatedSeries, k: int) -> Fraction:
     as the series stores it."""
     if not 0 <= k <= f.order:
         raise IndexError(f"exponent {k} outside [0, {f.order}]")
-    return f._egf[k]
+    return Fraction(f._nums[k], f._den)

@@ -410,6 +410,7 @@ COEFF_KINDS = [
         Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)
     ),
 ]
+NONZERO_SCALARS = st.sampled_from(COEFF_KINDS).flatmap(lambda kind: kind.filter(bool))
 
 
 @st.composite
@@ -448,7 +449,7 @@ def test_div_matches_schoolbook_oracle(pair, v, data):
     order = len(f) - 1
     v = min(v, order)
     # g has valuation exactly v; f is divisible by x^v, as division requires.
-    lead = data.draw(st.sampled_from(COEFF_KINDS).flatmap(lambda kind: kind.filter(bool)))
+    lead = data.draw(NONZERO_SCALARS)
     g = [Fraction(0)] * v + [lead] + g[v + 1:]
     f = [Fraction(0)] * v + f[v:]
     quotient = div(TruncatedSeries(f), TruncatedSeries(g))
@@ -522,7 +523,7 @@ def test_div_matches_the_egf_recurrence_oracle(pair, v, data):
     v = min(v, order)
     # Values, not coefficients: g has valuation exactly v, f is divisible by
     # x^v, and the quotient has order N - v.
-    lead = data.draw(st.sampled_from(COEFF_KINDS).flatmap(lambda kind: kind.filter(bool)))
+    lead = data.draw(NONZERO_SCALARS)
     g = [Fraction(0)] * v + [lead] + g[v + 1:]
     f = [Fraction(0)] * v + f[v:]
     quotient = div(
@@ -553,3 +554,44 @@ def test_sin_and_cos_coefficients_are_signed_powers_over_factorials(a, order):
             for k in range(order + 1)
         ]
         assert_fraction_series(series, expected)
+
+
+# -- one stored form, whatever the route -------------------------------------
+#
+# A series stores its EGF values as one integer row over one denominator in
+# lowest terms, and equality compares the rows: a route that left its row
+# unreduced, or over a negative denominator, would make equal series unequal.
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(series_pair(), st.data())
+def test_every_route_to_a_series_compares_equal(pair, data):
+    a, b = pair
+    order = len(a) - 1
+    split = data.draw(coefficients(order + 1))
+    tail = data.draw(coefficients(data.draw(st.integers(1, 4))))
+    c = data.draw(NONZERO_SCALARS)
+    lead = data.draw(NONZERO_SCALARS)
+    s, t = TruncatedSeries(a), TruncatedSeries(b)
+    unit = TruncatedSeries([lead, *b[1:]])
+    # Each EGF value m! a_m comes in two parts at the same exponent.
+    halves = [
+        term
+        for m, (x, w) in enumerate(zip(a, split))
+        for term in ((m, x * factorial(m) - w), (m, w))
+    ]
+    routes = {
+        "constructor": s,
+        "from_egf": TruncatedSeries.from_egf(halves, order),
+        "scalar round trip": (s * c) / c,
+        "over a negative scalar": (s / -abs(c)) * -abs(c),
+        "negated twice": -(-s),
+        "difference and sum": (s - t) + t,
+        "product and quotient": div(s * unit, unit),
+        "truncate": TruncatedSeries(a + tail).truncate(order),
+    }
+    for route, series in routes.items():
+        assert series == s, route
+        assert series.coeffs == tuple(a), route
+        assert all(type(x) is Fraction for x in series.coeffs), route
+        assert egf_values(series) == [x * factorial(m) for m, x in enumerate(a)], route
