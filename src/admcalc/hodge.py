@@ -21,8 +21,10 @@ It is the only closed form computed here.  ``TableSource.closed_form`` is the
 one derivation of the L and J closed forms from it (L scales I_d, J is d I_d^2);
 ``closed_form_L2/L3`` and ``j_relation_check`` read it, and a test checks the
 proven spellings above against it.  Its numerator is a finite sum of
-exponentials e^(i(d-2k)x/2), so each EGF value is an O(d) integer sum
-(``_sine_power``); the one series division by 2 sin(dx/2) costs most.
+sines or cosines of (d-2k)x/2, so each EGF value is an O(d) integer sum
+(``_sine_power``, built by the series kernel's ``_trig_sum``, as are the
+cover-count EGFs ``p3_full_series`` and ``p3_trans_series``); the one series
+division by 2 sin(dx/2) costs most.
 
 The three relations take their binomials from one walker, ``_every_other``,
 which steps along every other entry of a Pascal row by one product and one
@@ -41,8 +43,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .series import TruncatedSeries, cos_scaled, div, egf_value, sin_scaled
-from .series import _Value, append_over_lcm, over_lcm
+from .series import TruncatedSeries, div, egf_value, sin_scaled
+from .series import _Value, _trig_sum, append_over_lcm, over_lcm
 
 __all__ = [
     "HodgeTable",
@@ -222,21 +224,20 @@ def l3_table(l2: HodgeTable) -> HodgeTable:
 
     Both rows are summed in integers: L2 as ``l2.L_int`` and the L3 solved
     so far over its running lcm, by ``append_over_lcm`` as in ``series.div``,
-    so each genus takes two integer dot products and one Fraction.
+    so each genus takes two integer dot products; the L3 values are read off
+    the finished row.
     """
     l2_nums, l2_den = l2.L_int
-    L3: list[Fraction] = []
     nums: list[int] = []
     den = 1
     for g in range(l2.gmax + 1):
         weights = _l3_weights(g)
         known3 = sum(a * num for (a, _), num in zip(weights, nums))
         known2 = sum(b * num for (_, b), num in zip(weights, l2_nums))
-        value, den = append_over_lcm(
+        den = append_over_lcm(
             nums, den, -(known3 * l2_den + known2 * den), l2_den * den * weights[g][0]
         )
-        L3.append(value)
-    return HodgeTable(degree=3, L=L3)
+    return HodgeTable(degree=3, L=[Fraction(num, den) for num in nums])
 
 
 def _genus_for_order(degree: int, order: int) -> int:
@@ -344,23 +345,19 @@ def conjecture_series(d: int, N: int) -> TruncatedSeries:
 
 
 def _sine_power(d: int, N: int) -> TruncatedSeries:
-    """(2 sin(x/2))^d to order N, as a finite sum of exponentials.
+    """(2 sin(x/2))^d to order N, as a finite trigonometric sum.
 
-    (2 sin(x/2))^d = (-i)^d sum_k (-1)^k C(d, k) e^(i(d-2k)x/2), so m! times
-    its coefficient of x^m is zero unless m = d (mod 2), and otherwise
+    (2 sin(x/2))^d = (-i)^d sum_k (-1)^k C(d, k) e^(i(d-2k)x/2), which is
+    sum_k (-1)^(k + d//2) C(d, k) sin((d-2k)x/2) for odd d and the same sum
+    of cosines for even d.  So m! times its coefficient of x^m is zero unless
+    m = d (mod 2), and otherwise
         (-1)^((m-d)/2) sum_{k=0..d} (-1)^k C(d, k) (d-2k)^m / 2^m,
     which vanishes for m < d: d! times the central factorial numbers, up to
-    sign (Riordan, Combinatorial Identities, 1968).  That is O(d) integer
-    work per coefficient.
+    sign (Riordan, Combinatorial Identities, 1968).  ``_trig_sum`` sums it in
+    O(d) integer work per coefficient.
     """
-    signed = [(-1) ** k * comb(d, k) for k in range(d + 1)]
-    return TruncatedSeries.from_egf(
-        ((m, Fraction((-1) ** ((m - d) // 2)
-                      * sum(c * (d - 2 * k) ** m for k, c in enumerate(signed)),
-                      2**m))
-         for m in range(d, N + 1, 2)),
-        N,
-    )
+    terms = [((-1) ** (k + d // 2) * comb(d, k), Fraction(d - 2 * k, 2)) for k in range(d + 1)]
+    return _trig_sum(d % 2, terms, N)
 
 
 def closed_form_L2(N: int) -> TruncatedSeries:
@@ -385,12 +382,12 @@ def j_series(table: HodgeTable, order: int) -> TruncatedSeries:
 
 def p3_full_series(N: int) -> TruncatedSeries:
     """(1 - cos 3x)/9: the alternating EGF of the 9^g counts."""
-    return (1 - cos_scaled(3, N)) * Fraction(1, 9)
+    return _trig_sum(0, [(Fraction(1, 9), 0), (Fraction(-1, 9), 3)], N)
 
 
 def p3_trans_series(N: int) -> TruncatedSeries:
     """(3 sin x - sin 3x)/6: the alternating EGF of the (9^(g+1)-1)/2 counts."""
-    return (3 * sin_scaled(1, N) - sin_scaled(3, N)) * Fraction(1, 6)
+    return _trig_sum(1, [(Fraction(1, 2), 1), (Fraction(-1, 6), 3)], N)
 
 
 def j_relation_check(g: int) -> bool:

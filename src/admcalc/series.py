@@ -6,15 +6,18 @@ one less than the list's length; each operation states the order of its
 result.  Every series the package builds is an exponential generating
 function, so a series stores m! c_m, its EGF value at each exponent m, as one
 integer row over one positive denominator, in lowest terms, so that equal
-series have equal rows.  On the values the derivative is a shift, sin(ax) and
-cos(ax) are +-a^m, a product is the binomial convolution sum_i C(m, i) A_i
-B_(m-i) of the two rows, with binomials from Pascal's rows, and ``div``
-solves that convolution for the quotient.  ``Fraction``s are built only where
-the API returns them: ``coeffs``, ``coeff``, ``constant_term`` and
-``egf_value``.  The two integer-row helpers are public, since ``hodge`` solves
-its tables with them too: ``over_lcm`` puts a row over its lcm, and
-``append_over_lcm`` grows a row one value at a time, as ``div`` grows its
-quotient.  Binary operations insist on equal orders, so order bookkeeping
+series have equal rows.  On the values the derivative is a shift, a finite
+sum of c sin(ax), or of c cos(ax), is +-sum c a^m, a product is the binomial
+convolution sum_i C(m, i) A_i B_(m-i) of the two rows, with binomials from
+Pascal's rows, and ``div`` solves that convolution for the quotient.  One
+builder, ``_trig_sum``, makes every such trigonometric sum in one integer
+loop: sin and cos here, and the closed form's numerator and the cover-count
+EGFs in ``hodge``.  ``Fraction``s are built only where the API returns them:
+``coeffs``, ``coeff``, ``constant_term`` and ``egf_value``.  The two
+integer-row helpers are public, since ``hodge`` solves its tables with them
+too: ``over_lcm`` puts a row over its lcm, and ``append_over_lcm`` grows a
+row one value at a time, as ``div`` grows its quotient, and returns the new
+lcm.  Binary operations insist on equal orders, so order bookkeeping
 mistakes surface as errors instead of silently wrong tails.
 
 ``_Value``, the private base of the package's value types (the series here,
@@ -29,7 +32,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import add, mul
 
 __all__ = [
     "TruncatedSeries",
@@ -69,17 +72,21 @@ def over_lcm(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     return [value.numerator * (den // value.denominator) for value in values], den
 
 
-def append_over_lcm(nums: list[int], den: int, p, q: int) -> tuple[Fraction, int]:
+def append_over_lcm(nums: list[int], den: int, p, q) -> int:
     """Append p/q to ``nums``, numerators over ``den`` rescaled in place to the
-    lcm of the denominators, and return p/q and that lcm: from ``[]`` over 1,
-    the appends end as ``over_lcm`` of their values.  ``p`` may be a Fraction."""
-    value = Fraction(p, q)
-    if den % value.denominator:
-        scale = value.denominator // math.gcd(den, value.denominator)
+    lcm of the denominators, and return that lcm: from ``[]`` over 1, the
+    appends end as ``over_lcm`` of their values.  ``p`` and ``q`` may be
+    Fractions; a zero ``q`` raises ZeroDivisionError."""
+    num, q = p.numerator * q.denominator, p.denominator * q.numerator
+    # With q = 0 the floor division or the modulo below raises.
+    g = math.gcd(num, q) if q > 0 else -math.gcd(num, q)
+    num, q = num // g, q // g
+    if den % q:
+        scale = q // math.gcd(den, q)
         nums[:] = [x * scale for x in nums]
         den *= scale
-    nums.append(value.numerator * (den // value.denominator))
-    return value, den
+    nums.append(num * (den // q))
+    return den
 
 
 class _Value:
@@ -161,9 +168,7 @@ class TruncatedSeries(_Value):
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        return cls([1] + [0] * order)
+        return cls.from_egf([(0, 1)], order)
 
     @classmethod
     def from_egf(cls, terms: Iterable[tuple[int, int | Fraction]], order: int) -> "TruncatedSeries":
@@ -174,6 +179,8 @@ class TruncatedSeries(_Value):
         generating functions, including families whose exponent is offset
         from the index; the values are put over their lcm once.
         """
+        if order < 0:
+            raise ValueError("order must be >= 0")
         values = [0] * (order + 1)
         for exponent, value in terms:
             if not 0 <= exponent <= order:
@@ -356,37 +363,43 @@ def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
             a = H[m - j]
             if a:
                 dot += row[m - j] * a * b
-        _, q_den = append_over_lcm(
+        q_den = append_over_lcm(
             H, q_den, F[m + v] * g_den * q_den - dot * f_den, f_den * q_den * lead * row[m]
         )
     return TruncatedSeries._of(H, q_den)
 
 
-def _taylor(a: int | Fraction, order: int, first: int) -> TruncatedSeries:
-    """sin(a*x) (first = 1) or cos(a*x) (first = 0) through x^order, exactly:
-    EGF value +-a^m at every m of the parity of ``first``, with a = p/q
-    written as +-p^m q^(order-m) over q^order."""
+def _trig_sum(parity: int, terms: Sequence[tuple[int | Fraction, int | Fraction]],
+              order: int) -> TruncatedSeries:
+    """sum c sin(a*x) (parity 1) or sum c cos(a*x) (parity 0) over the (c, a)
+    pairs of ``terms``, through x^order, exactly: EGF value +-sum c a^m at
+    every m of the parity.  With the c as C over their lcm s and the a as
+    n/q over their lcm q, that is +-sum C n^m q^(order-m) over s q^order,
+    each power stepped from the one two exponents below."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    a = _as_rational(a)
-    p, q = a.numerator, a.denominator
+    coeffs, s = over_lcm([_as_rational(c) for c, _ in terms])
+    bases, q = over_lcm([_as_rational(a) for _, a in terms])
+    powers = [n**parity for n in bases]
+    squares = [n * n for n in bases]
+    q_power = q ** max(order - parity, 0)
     nums = [0] * (order + 1)
-    p_power, q_power = p**first, q ** max(order - first, 0)
-    for m in range(first, order + 1, 2):
-        nums[m] = p_power * q_power if m % 4 < 2 else -p_power * q_power
-        p_power *= p * p
+    for m in range(parity, order + 1, 2):
+        total = sum(map(mul, coeffs, powers)) * q_power
+        nums[m] = total if m % 4 < 2 else -total
+        powers = list(map(mul, powers, squares))
         q_power //= q * q
-    return TruncatedSeries._of(nums, q**order)
+    return TruncatedSeries._of(nums, s * q**order)
 
 
 def sin_scaled(a: int | Fraction, order: int) -> TruncatedSeries:
     """Taylor expansion of sin(a*x) through x^order, exactly."""
-    return _taylor(a, order, 1)
+    return _trig_sum(1, [(1, a)], order)
 
 
 def cos_scaled(a: int | Fraction, order: int) -> TruncatedSeries:
     """Taylor expansion of cos(a*x) through x^order, exactly."""
-    return _taylor(a, order, 0)
+    return _trig_sum(0, [(1, a)], order)
 
 
 def egf_value(f: TruncatedSeries, k: int) -> Fraction:

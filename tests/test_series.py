@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admcalc.hodge import HodgeTable
@@ -12,6 +12,7 @@ from admcalc.series import (
     OrderMismatchError,
     SeriesDivisionError,
     TruncatedSeries,
+    _trig_sum,
     append_over_lcm,
     cos_scaled,
     div,
@@ -68,6 +69,8 @@ def test_from_egf_offsets_and_accumulation():
     assert s.coeff(1) == 1
     with pytest.raises(ValueError):
         TruncatedSeries.from_egf([(5, 1)], 4)
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_egf([], -1)
 
 
 # -- ring operations -------------------------------------------------------
@@ -460,15 +463,17 @@ def test_div_matches_schoolbook_oracle(pair, v, data):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 14).flatmap(coefficients), st.integers(-12, 12).filter(bool))
 def test_running_lcm_appends_end_as_the_over_lcm_of_the_row(values, q):
-    # The running form ``div`` and ``l3_table`` keep equals the batch form the
-    # tables' integer rows take.  Every other value is appended as p/q with p
-    # a Fraction, as a patched relation makes it.
+    # The running form ``div`` and ``l3_table`` keep equals, after every
+    # append, the batch form the tables' integer rows take.  Values are
+    # appended as p/q with p and q ints, p a Fraction as a patched relation
+    # makes it, or both Fractions.
     nums, den = [], 1
     for k, value in enumerate(values):
-        p, q_k = (value * q, q) if k % 2 else (value.numerator, value.denominator)
-        appended, den = append_over_lcm(nums, den, p, q_k)
-        assert appended == value and type(appended) is Fraction
-    assert (nums, den) == over_lcm(values)
+        p, q_k = [
+            (value.numerator, value.denominator), (value * q, q), (value / q, Fraction(1, q))
+        ][k % 3]
+        den = append_over_lcm(nums, den, p, q_k)
+        assert (nums, den) == over_lcm(values[: k + 1])
 
 
 # -- the EGF kernel against Fraction oracles on EGF values -------------------
@@ -554,6 +559,38 @@ def test_sin_and_cos_coefficients_are_signed_powers_over_factorials(a, order):
             for k in range(order + 1)
         ]
         assert_fraction_series(series, expected)
+
+
+# Rational c and a of either sign, a = 0 among them.
+TRIG_RATIONALS = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=9)
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 1),
+    st.lists(st.tuples(TRIG_RATIONALS, TRIG_RATIONALS), max_size=4),
+    st.integers(0, 40),
+)
+@example(0, [(Fraction(1, 9), 0), (Fraction(-1, 9), 3)], 40)
+@example(1, [(Fraction(1, 2), 1), (-1, Fraction(-7, 3)), (3, 0)], 40)
+def test_trig_sum_matches_the_coefficient_oracle(parity, terms, order):
+    # sum c sin(ax) or sum c cos(ax) has sum c (-1)^(m//2) a^m / m! at every
+    # m of the parity and zero at the other, one Fraction at a time.
+    expected = [
+        (-1) ** (m // 2) * sum((c * Fraction(a) ** m for c, a in terms), Fraction(0))
+        / factorial(m)
+        if m % 2 == parity else Fraction(0)
+        for m in range(order + 1)
+    ]
+    assert_fraction_series(_trig_sum(parity, terms, order), expected)
+
+
+def test_trig_sum_refuses_float_terms():
+    for terms in ([(1, 0.5)], [(0.5, 1)], [(1, 1), (Fraction(1, 2), 2.0)]):
+        with pytest.raises(TypeError):
+            _trig_sum(1, terms, 4)
 
 
 # -- one stored form, whatever the route -------------------------------------
