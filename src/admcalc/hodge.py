@@ -44,7 +44,7 @@ from functools import cached_property
 from math import comb
 
 from .series import TruncatedSeries, div, egf_value, sin_scaled
-from .series import _Value, _trig_sum, append_over_lcm, over_lcm
+from .series import _Value, _as_rational, _trig_sum, append_over_lcm, over_lcm
 
 __all__ = [
     "HodgeTable",
@@ -83,14 +83,17 @@ class HodgeTable(_Value):
     Its fields are ``degree`` and ``L``.  Each row, like the numerators of
     ``L_int`` and ``I_int``, is a tuple, so a cached row never outlives the
     ``L`` it was read off: a perturbed table is a new ``HodgeTable(degree,
-    L)``, which stores ``L`` as a tuple.
+    L)``, which stores ``L`` as a tuple.  The degree must be 2 or 3
+    (``ValueError``) and each value an int or a Fraction (``TypeError``).
     """
 
     _fields = ("degree", "L")
     __hash__ = None
 
     def __init__(self, degree: int, L: Iterable[Fraction]):
-        self.__dict__.update(degree=degree, L=tuple(L))
+        if not (isinstance(degree, int) and degree in _I_PER_L):
+            raise ValueError(f"a table has degree 2 or 3, not {degree!r}")
+        self.__dict__.update(degree=degree, L=tuple(map(_as_rational, L)))
 
     @property
     def gmax(self) -> int:
@@ -118,6 +121,16 @@ class HodgeTable(_Value):
         """``I`` as integer numerators over their lcm denominator."""
         nums, den = over_lcm(self.I)
         return tuple(nums), den
+
+
+def _check_roles(l2: HodgeTable, l3: HodgeTable | None = None) -> None:
+    """Refuse a table passed in the other degree's role: ``l2`` must be the
+    degree-2 table and ``l3``, when given, the degree-3 one."""
+    for role, table, degree in (("l2", l2, 2), ("l3", l3, 3)):
+        if table is not None and table.degree != degree:
+            raise ValueError(
+                f"{role} must be a degree-{degree} table, not degree {table.degree}"
+            )
 
 
 def p2_closed(g: int) -> Fraction:
@@ -227,6 +240,7 @@ def l3_table(l2: HodgeTable) -> HodgeTable:
     so each genus takes two integer dot products; the L3 values are read off
     the finished row.
     """
+    _check_roles(l2)
     l2_nums, l2_den = l2.L_int
     nums: list[int] = []
     den = 1
@@ -410,6 +424,7 @@ def ode_residual_deg2(l2: HodgeTable, N: int) -> TruncatedSeries:
     """
     if N < 2:
         raise ValueError("order must be >= 2")
+    _check_roles(l2)
     l2_series = l_series(l2, N + 1)
     return l2_series.derivative() * sin_scaled(1, N) - l2_series.truncate(N)
 
@@ -421,6 +436,7 @@ def ode_residual_deg3(l2: HodgeTable, l3: HodgeTable, N: int) -> TruncatedSeries
     """
     if N < 2:
         raise ValueError("order must be >= 2")
+    _check_roles(l2, l3)
     full_part = Fraction(2, 3) * p3_full_series(N) * l_series(l3, N + 1).derivative()
     trans_part = p3_trans_series(N) * l_series(l2, N + 1).derivative()
     return full_part - trans_part

@@ -3,14 +3,16 @@
 Each torus-fixed locus of a cover space contributes a term of the form
 (rational coefficient) * hbar^k, where the coefficient already has all
 branched-cover counts (P values) and lambda-class integrals (L values)
-substituted.  Three families are catalogued:
+substituted.  Four identities are stated, each on its own catalog:
 
-* degree 2, linearization A: a single locus worth -L2(g)/2;
-* degree 2, linearization B: g+1 loci whose sum must again be -L2(g)/2;
-* degree 3, auxiliary integral: 2g+2 loci, all proportional to 1/hbar,
-  whose sum must vanish outright (the integral is zero for dimension
-  reasons) -- this is exactly the relation that determines L3;
-* two-point loci at degree 2: sum to J2(g).
+* ``deg2_linA``, degree 2, linearization A: a single locus worth -L2(g)/2;
+* ``deg2_linB``, degree 2, linearization B: g+1 loci whose sum must again
+  be -L2(g)/2;
+* ``deg3_aux_residual``, degree 3, auxiliary integral: 2g+2 loci, all
+  proportional to 1/hbar, whose sum must vanish outright (the integral is
+  zero for dimension reasons) -- this is exactly the relation that
+  determines L3;
+* ``j2_from_loci``, the two-point loci at degree 2: they sum to J2(g).
 
 The raw equivariant data (Hodge bundle weights, psi-class denominators,
 normal bundle factors) is not modelled; only the reduced outcome per locus
@@ -25,10 +27,12 @@ vanishing check (criterion 6) restate the L2 and L3 recursions, and
 ``hodge._j_numerators``; they catch a table that disagrees with its own
 recursion, not an error in the recursion itself.
 
-A catalog builder states one denominator and yields each locus as an
-integer numerator over it, read off the tables' integer rows (``L_int``,
-``I_int``).  Each identity adds those integers and builds one Fraction;
-``enumerate_loci`` divides them out, one Fraction per locus.
+A catalog builder checks the genus and the tables it reads, states one
+denominator and yields each locus as an integer numerator over it, read off
+the tables' integer rows (``L_int``, ``I_int``).  Each identity calls its
+builder directly, adds those integers and builds one Fraction.
+``enumerate_loci`` maps a family name to its builder and divides the
+numerators out, one Fraction per locus.
 """
 
 from __future__ import annotations
@@ -51,6 +55,16 @@ __all__ = [
 # relation or count makes it one; the sums below take that too.
 Catalog = tuple[list[int], int]
 
+
+def _check(g: int, l2: HodgeTable, l3: HodgeTable | None = None) -> None:
+    # Every builder's guard, on the genus and the tables it reads.
+    if g < 0:
+        raise ValueError("genus must be >= 0")
+    hodge._check_roles(l2, l3)
+    if l2.gmax < g or (l3 is not None and l3.gmax < g):
+        raise ValueError(f"the tables must reach genus {g}")
+
+
 # F_{a,b} lists the genera of the cover components over the two torus-fixed
 # points of the base, 0 and infinity; a dot marks a side with no
 # positive-dimensional component, an extra slot a rational bridge through a
@@ -60,6 +74,7 @@ Catalog = tuple[list[int], int]
 def _deg2_linA_terms(g: int, l2: HodgeTable) -> Catalog:
     # The single locus F_{g,.}: its lambda-lambda-psi sum gives L2(g), with
     # overall weight -1/2: the table's I2(g).
+    _check(g, l2)
     i_nums, i_den = l2.I_int
     return [i_nums[g]], i_den
 
@@ -71,6 +86,7 @@ def _deg2_linB_terms(g: int, l2: HodgeTable) -> Catalog:
     # infinity the value L2(i) (at i = 0, F_{g,.}, the seed L2(0)); 2i of the
     # 2g+1 free branch points go to the L side.  Each locus is an L2-recursion
     # summand times P2, so the sum is -L2(g)/2 exactly when it holds.
+    _check(g, l2)
     l_nums, l_den = l2.L_int
     i_nums, i_den = l2.I_int
     recursion = hodge._l2_terms(g, l_nums)  # over l_den
@@ -92,6 +108,7 @@ def _deg3_aux_terms(g: int, l2: HodgeTable, l3: HodgeTable) -> Catalog:
     # P3_trans(g-i), the double-cover lambda side of genus i the value L2(i).
     # The weights are those of 3 times the relation, so the catalog is over
     # 3 times the rows' common denominator.
+    _check(g, l2, l3)
     weights = hodge._l3_weights(g)
     l2_nums, l2_den = l2.L_int
     l3_nums, l3_den = l3.L_int
@@ -102,35 +119,21 @@ def _deg3_aux_terms(g: int, l2: HodgeTable, l3: HodgeTable) -> Catalog:
     ], 3 * den
 
 
-def _catalog(
-    g: int, family: str, l2: HodgeTable, l3: HodgeTable | None
-) -> Catalog:
-    if g < 0:
-        raise ValueError("genus must be >= 0")
-    if family not in ("linA", "linB", "J", "aux"):
-        raise ValueError(f"unknown family {family!r}")
-    if family == "aux" and l3 is None:
-        raise ValueError("the aux family needs the L3 table")
-    if l2.gmax < g or (family == "aux" and l3.gmax < g):
-        raise ValueError(f"the tables must reach genus {g}")
-    if family == "linA":
-        return _deg2_linA_terms(g, l2)
-    if family == "linB":
-        return _deg2_linB_terms(g, l2)
-    if family == "J":
-        # One locus F_{i,g-i} per split, worth the J2 convolution summand
-        # 2 C(2g+2, 2i+1) I2(i) I2(g-i) (a palindrome in i).  The ends are the
-        # single-sided loci F_{g,.} and F_{.,g}; at g = 0 they are one and the
-        # same, so exactly one term is emitted.  The J2 row sums the same terms.
-        return hodge._j_numerators(l2, g)
-    return _deg3_aux_terms(g, l2, l3)
+def _deg2_j_terms(g: int, l2: HodgeTable) -> Catalog:
+    # One locus F_{i,g-i} per split, worth the J2 convolution summand
+    # 2 C(2g+2, 2i+1) I2(i) I2(g-i) (a palindrome in i).  The ends are the
+    # single-sided loci F_{g,.} and F_{.,g}; at g = 0 they are one and the
+    # same, so exactly one term is emitted.  The J2 row sums the same terms.
+    _check(g, l2)
+    return hodge._j_numerators(l2, g)
+
+
+_FAMILIES = {"linA": _deg2_linA_terms, "linB": _deg2_linB_terms,
+             "J": _deg2_j_terms, "aux": _deg3_aux_terms}
 
 
 def enumerate_loci(
-    g: int,
-    family: str,
-    l2: HodgeTable,
-    l3: HodgeTable | None = None,
+    g: int, family: str, l2: HodgeTable, l3: HodgeTable | None = None
 ) -> list[Fraction]:
     """The reduced catalog of one identity at one genus, a coefficient per locus.
 
@@ -139,37 +142,40 @@ def enumerate_loci(
     (degree 3, vanishing auxiliary integral); the family fixes the degree.
     Every family reads the L2 table ``l2``; ``aux`` also reads the L3 table
     ``l3``.  The cover counts come from their closed forms in ``hodge``, as
-    they do for the tables.  The tables must reach genus
-    g; a perturbed table (made with ``HodgeTable(degree, L)``) probes what the
-    identity detects.
+    they do for the tables.  Each table must have the degree of its role and
+    reach genus g; a perturbed table (made with ``HodgeTable(degree, L)``)
+    probes what the identity detects.
     """
-    numerators, den = _catalog(g, family, l2, l3)
+    build = _FAMILIES.get(family)
+    if build is None:
+        raise ValueError(f"unknown family {family!r}")
+    if build is _deg3_aux_terms and l3 is None:
+        raise ValueError("the aux family needs the L3 table")
+    numerators, den = build(g, l2, l3) if build is _deg3_aux_terms else build(g, l2)
     return [Fraction(numerator, den) for numerator in numerators]
 
 
-def _loci_sum(
-    g: int, family: str, l2: HodgeTable, l3: HodgeTable | None = None
-) -> Fraction:
-    """Sum of one family's catalog at genus g: its numerators, then one Fraction."""
-    numerators, den = _catalog(g, family, l2, l3)
+def _total(numerators: list[int], den: int) -> Fraction:
     return Fraction(sum(numerators), den)
 
 
 def deg2_linA(g: int, l2: HodgeTable) -> Fraction:
     """One-point degree-2 integral under linearization A: -L2(g)/2."""
-    return _loci_sum(g, "linA", l2)
+    return _total(*_deg2_linA_terms(g, l2))
 
 
 def deg2_linB(g: int, l2: HodgeTable) -> Fraction:
     """Same integral under linearization B: the g+1 locus contributions."""
-    return _loci_sum(g, "linB", l2)
+    return _total(*_deg2_linB_terms(g, l2))
 
 
 def deg3_aux_residual(g: int, l2: HodgeTable, l3: HodgeTable) -> Fraction:
     """Total 1/hbar coefficient of the auxiliary integral; must be zero."""
-    return _loci_sum(g, "aux", l2, l3)
+    return _total(*_deg3_aux_terms(g, l2, l3))
 
 
 def j2_from_loci(g: int, l2: HodgeTable) -> Fraction:
     """J2(g) as the sum over the two-point fixed-locus catalog."""
-    return _loci_sum(g, "J", l2)
+    return _total(*_deg2_j_terms(g, l2))
+
+

@@ -71,6 +71,22 @@ def test_tables_are_read_only_values():
     assert list(vars(t)) == ["degree", "L", "I"]
 
 
+@pytest.mark.parametrize("value", [0.25, "1/4", None, 1j])
+def test_table_values_must_be_exact(value):
+    # A float would make the I row float arithmetic, and the integer rows
+    # that J and L3 read would then fail on its missing denominator.
+    with pytest.raises(TypeError):
+        HodgeTable(2, [F(1, 2), value])
+
+
+@pytest.mark.parametrize("degree", [0, 1, 4, 5, 2.0, "2"])
+def test_table_degree_must_be_two_or_three(degree):
+    # Only the integers 2 and 3 have an I row to read; any other degree once
+    # failed with a KeyError on first use of ``I``, and 2.0 broke the J row.
+    with pytest.raises(ValueError, match="degree 2 or 3"):
+        HodgeTable(degree, [F(1, 2)])
+
+
 def test_table_rows_cannot_be_edited_in_place():
     # A row edited in place would leave the rows cached from it stale: with
     # lists, ``t.I[1] += 1`` made ``t.J[1]`` read -7/2.

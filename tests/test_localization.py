@@ -5,9 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admcalc import hodge
-from admcalc.hodge import HodgeTable, closed_form_L2, l2_table, l3_table
+from admcalc.hodge import (
+    HodgeTable,
+    closed_form_L2,
+    l2_table,
+    l3_table,
+    ode_residual_deg2,
+    ode_residual_deg3,
+)
 from admcalc.localization import (
-    _loci_sum,
     deg2_linA,
     deg2_linB,
     deg3_aux_residual,
@@ -158,6 +164,38 @@ def test_tables_must_reach_the_genus(family, degree):
             enumerate_loci(4, family, l2_table(4), l3_table(l2_table(3)))
 
 
+@pytest.mark.parametrize(
+    "call, role",
+    [
+        (lambda: deg2_linA(1, T3), "l2"),
+        (lambda: deg2_linB(1, T3), "l2"),
+        (lambda: j2_from_loci(1, T3), "l2"),
+        (lambda: deg3_aux_residual(1, l2=T3, l3=T2), "l2"),
+        (lambda: deg3_aux_residual(1, l2=T2, l3=T2), "l3"),
+        (lambda: ode_residual_deg2(T3, 3), "l2"),
+        (lambda: ode_residual_deg3(T2, T2, 3), "l3"),
+        (lambda: ode_residual_deg3(T3, T3, 3), "l2"),
+        (lambda: l3_table(T3), "l2"),
+    ],
+    ids=["linA", "linB", "J", "aux-swapped", "aux-l3", "ode2", "ode3-l3", "ode3-l2",
+         "l3_table"],
+)
+def test_a_table_in_the_wrong_role_is_refused(call, role):
+    # Each table has the degree of its role; one of the other degree once
+    # gave a value (deg2_linA(1, T3) was 2/3) or a false failure (the swapped
+    # aux residual was 280/3).
+    with pytest.raises(ValueError, match=f"^{role} must be a degree-{role[1]} table"):
+        call()
+
+
+IDENTITIES = {
+    "linA": deg2_linA,
+    "linB": deg2_linB,
+    "J": j2_from_loci,
+    "aux": deg3_aux_residual,
+}
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     st.sampled_from([T2, T3]),
@@ -165,7 +203,8 @@ def test_tables_must_reach_the_genus(family, degree):
     st.fractions(min_value=-100, max_value=100, max_denominator=50).filter(bool),
 )
 def test_loci_sum_matches_the_fraction_sum(table, k, delta):
-    # The integer sum over the lcm denominator equals the Fraction sum, also
+    # Each identity's integer sum over its catalog's denominator equals the
+    # Fraction sum of the loci ``enumerate_loci`` lists for its family, also
     # on tables one bumped L row has taken off their identities.
     values = list(table.L)
     values[k] += delta
@@ -173,6 +212,7 @@ def test_loci_sum_matches_the_fraction_sum(table, k, delta):
     t2 = bumped if table is T2 else T2
     t3 = bumped if table is T3 else T3
     for g in range(13):
-        for family in ("linA", "linB", "J", "aux"):
+        for family, identity in IDENTITIES.items():
             expected = sum(enumerate_loci(g, family, t2, t3), Fraction(0))
-            assert _loci_sum(g, family, t2, t3) == expected
+            tables = (t2, t3) if family == "aux" else (t2,)
+            assert identity(g, *tables) == expected
