@@ -316,10 +316,9 @@ def _parse_profile(text: str) -> CycleType:
 
 
 def _cmd_hurwitz(args: argparse.Namespace) -> int:
-    try:
-        profile = BranchProfile(args.degree, args.profile)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    # A profile BranchProfile refuses raises ValueError, which ``run`` turns
+    # into a usage error.
+    profile = BranchProfile(args.degree, args.profile)
     count = hurwitz_count(
         profile, connected=not args.disconnected, max_tuples=args.max_tuples
     )

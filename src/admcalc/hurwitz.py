@@ -5,23 +5,25 @@ as an n-tuple of permutations in S_d with prescribed cycle types whose
 ordered product is the identity; the cover is connected exactly when the
 tuple acts transitively on the d sheets.  Counts are normalised by 1/d!
 (equivalently: tuples are weighted by the reciprocal of the order of S_d),
-so they are rationals, not integers.  ``_connected_covers`` alone counts the
-simple branch points of ``p2``, ``p3_full`` and ``p3_trans``, by Riemann-Hurwitz.
+so they are rationals, not integers.  ``_simple_points`` alone counts the
+simple branch points of ``p2``, ``p3_full`` and ``p3_trans``, by Riemann-Hurwitz;
+``_connected_covers`` and ``_covers_by_genus`` read it.
 
-Enumeration folds the first n-1 slots from left to right.  The state after
-a slot is the running product and, for connected counts, the partition of
-the sheets into the orbits of the permutations so far; tuples that reach
-the same state are kept once, with their multiplicity.  Simultaneous
-conjugation keeps the classes, the product and transitivity, so every
-member of a class has as many completions: the largest class among the
-first n-1 is fixed to one member, which starts the fold, and its tuples
-are counted |C| times.
+Enumeration folds the first n-1 slots from left to right, from the identity
+start state.  The state after a slot is the running product and, for
+connected counts, the partition of the sheets into the orbits of the
+permutations so far; tuples that reach the same state are kept once, with
+their multiplicity.  Simultaneous conjugation keeps the classes, the product
+and transitivity, so every member of a class has as many completions: the
+largest class among the first n-1 is fixed to one member, folded first as a
+slot of its own, and its tuples are counted |C| times.
 The last permutation is forced (it inverts the product), so closing the
 fold checks its cycle type and, for connected counts, that it joins the
 orbits into one.  Each conjugacy class is built from its cycle structure,
 never by scanning S_d: its moved points are chosen first, then its cycles
 are placed among them, one recursion level per non-trivial cycle.
-``hurwitz_count`` and ``_covers_by_genus`` share the slot step and the close.
+``hurwitz_count`` and ``_covers_by_genus`` share the start state (``_start``),
+the slot step and the close.
 
 ``_covers_by_genus`` counts one cover family at every genus 0..gmax from a
 single fold.  A genus adds two simple points, so it folds two more slots into
@@ -264,18 +266,15 @@ def hurwitz_count(
         return weight
 
     merged = _merger(d)
-    identity = tuple(range(d))
-    start = (identity, identity if connected else (0,) * d)
+    states = _start(d, connected)
     folded_types = types[:-1]
     if sizes:
-        # The fixed class: one member starts the fold, counted |C| times.
+        # The fixed class: one member is the first slot, counted |C| times.
         fixed = max(sizes, key=sizes.get)
         folded_types.remove(fixed)
-        rho = next(_class_images(d, fixed))
-        start = (rho, merged(start[1], rho))
+        states = _fold_slot(states, [next(_class_images(d, fixed))], merged)
         weight *= sizes[fixed]
     classes = {parts: list(_class_images(d, parts)) for parts in set(folded_types)}
-    states = {start: 1}
     for parts in folded_types:
         states = _fold_slot(states, classes[parts], merged)
     return weight * _close(states, types[-1], connected, merged)
@@ -284,6 +283,14 @@ def hurwitz_count(
 # A fold's states: (running product, orbit partition) -> multiplicity.
 _States = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
 _Merger = Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]
+
+
+def _start(d: int, connected: bool) -> _States:
+    """The states before the first slot: the identity, with each sheet its
+    own orbit, or, for a count that does not ask for transitivity, one block
+    that no merge changes."""
+    identity = tuple(range(d))
+    return {(identity, identity if connected else (0,) * d): 1}
 
 
 def _merger(d: int) -> _Merger:
@@ -363,8 +370,7 @@ def _covers_by_genus(
         raise ValueError("the special points leave no simple point at genus 0")
     simple = (2,) + (1,) * (d - 2)
     merged = _merger(d)
-    identity = tuple(range(d))
-    states = {(identity, identity): 1}
+    states = _start(d, True)
     for parts in special:
         states = _fold_slot(states, list(_class_images(d, parts)), merged)
     transpositions = list(_class_images(d, simple))

@@ -9,7 +9,8 @@ integer row over one positive denominator, in lowest terms, so that equal
 series have equal rows.  On the values the derivative is a shift, a finite
 sum of c sin(ax), or of c cos(ax), is +-sum c a^m, a product is the binomial
 convolution sum_i C(m, i) A_i B_(m-i) of the two rows, with binomials from
-Pascal's rows, and ``div`` solves that convolution for the quotient.  One
+Pascal's rows, and ``div`` solves that convolution for the quotient; both
+read each value through the one convolution step, ``_convolved``.  One
 builder, ``_trig_sum``, makes every such trigonometric sum in one integer
 loop: sin and cos here, and the closed form's numerator and the cover-count
 EGFs in ``hodge``.  ``Fraction``s are built only where the API returns them:
@@ -268,20 +269,11 @@ class TruncatedSeries(_Value):
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
             # The EGF product: value m is sum_i C(m, i) A_i B_(m-i), summed
-            # on the two rows over a_den * b_den; zero values of either
-            # factor contribute no terms.
+            # on the two rows over a_den * b_den, with C(m, i) read as
+            # C(m, m-i); zero values of either factor contribute no terms.
             a_terms = [(i, x) for i, x in enumerate(self._nums) if x]
             b = other._nums
-            sums = []
-            for m, row in enumerate(_pascal_rows(len(b))):
-                s = 0
-                for i, x in a_terms:
-                    if i > m:
-                        break
-                    y = b[m - i]
-                    if y:
-                        s += row[i] * x * y
-                sums.append(s)
+            sums = [_convolved(row, m, a_terms, b) for m, row in enumerate(_pascal_rows(len(b)))]
             return TruncatedSeries._of(sums, self._den * other._den)
         try:
             c = _as_rational(other)
@@ -324,6 +316,22 @@ def _pascal_rows(count: int) -> Iterator[list[int]]:
         row = [1, *map(add, row, row[1:]), 1]
 
 
+def _convolved(row: list[int], m: int, sparse: list[tuple[int, int]],
+               dense: Sequence[int]) -> int:
+    """Value m of a binomial convolution: the sum of row[k] * dense[k] * y,
+    k = m - j, over the (j, y) of ``sparse`` (j ascending) with j <= m,
+    zero ``dense`` values skipped."""
+    s = 0
+    for j, y in sparse:
+        if j > m:
+            break
+        k = m - j
+        x = dense[k]
+        if x:
+            s += row[k] * x * y
+    return s
+
+
 def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Quotient h with h*g = f; orders must match.
 
@@ -347,7 +355,8 @@ def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     # the rows f = F/(k f_den), g = G/(k g_den), with k their denominators'
     # gcd, and h = H/q_den so far, that is one integer dot product and one
     # reduced ratio; q_den is the lcm of the denominators of h_0..h_(m-1).
-    # Zero quotient terms are skipped before a binomial is read.
+    # The dot product is the convolution step of the product, over g's tail
+    # and the quotient so far.
     k = math.gcd(f._den, g._den)
     F, f_den = f._nums, f._den // k
     G, g_den = g._nums, g._den // k
@@ -356,13 +365,7 @@ def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     H: list[int] = []
     q_den = 1
     for m, row in enumerate(itertools.islice(_pascal_rows(len(G)), v, None)):
-        dot = 0
-        for j, b in tail:
-            if j > m:
-                break
-            a = H[m - j]
-            if a:
-                dot += row[m - j] * a * b
+        dot = _convolved(row, m, tail, H)
         q_den = append_over_lcm(
             H, q_den, F[m + v] * g_den * q_den - dot * f_den, f_den * q_den * lead * row[m]
         )

@@ -546,8 +546,13 @@ def test_hurwitz_disconnected_flag(capsys):
 
 
 def test_hurwitz_bad_profile(capsys):
-    code, _, err = run_cli(capsys, "hurwitz", "--degree", "3", "--profile", "2,2")
-    assert code == 2 and "partition" in err
+    # A profile that BranchProfile refuses ends in one usage line.
+    assert run_cli(capsys, "hurwitz", "--degree", "3", "--profile", "2,2") == (
+        2, "", "admcalc: cycle type (2, 2) does not partition 3\n"
+    )
+    assert run_cli(capsys, "hurwitz", "--degree", "0", "--profile", "1") == (
+        2, "", "admcalc: degree must be >= 1\n"
+    )
     code, _, err = run_cli(capsys, "hurwitz", "--degree", "3", "--profile", "a,b")
     assert code == 2
     code, _, err = run_cli(capsys, "hurwitz", "--degree", "3", "--profile", "0,3")
