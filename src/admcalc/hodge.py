@@ -30,8 +30,9 @@ The three relations take their binomials from one walker, ``_every_other``,
 which steps along every other entry of a Pascal row by one product and one
 exact division, so no genus loop calls ``comb``.  The degree-3 relation and
 the J convolution are summed in integers, one Fraction per value, with the
-series kernel's row helpers: ``over_lcm`` gives each row its integer form, and
-``l3_table`` grows L3 by ``append_over_lcm`` as ``div`` grows a quotient.
+series kernel's private row helpers: ``_over_lcm`` gives each row its integer
+form, and ``l3_table`` grows L3 by ``_append_over_lcm`` as ``div`` grows a
+quotient.
 ``_j_numerators`` gives the J row and the two-point loci one sum.  The L2
 recursion still adds Fractions.
 """
@@ -44,7 +45,7 @@ from functools import cached_property
 from math import comb
 
 from .series import TruncatedSeries, div, egf_value, sin_scaled
-from .series import _Value, _as_rational, _trig_sum, append_over_lcm, over_lcm
+from .series import _Value, _append_over_lcm, _as_rational, _over_lcm, _trig_sum
 
 __all__ = [
     "HodgeTable",
@@ -113,13 +114,13 @@ class HodgeTable(_Value):
     @cached_property
     def L_int(self) -> tuple[tuple[int, ...], int]:
         """``L`` as integer numerators over their lcm denominator."""
-        nums, den = over_lcm(self.L)
+        nums, den = _over_lcm(self.L)
         return tuple(nums), den
 
     @cached_property
     def I_int(self) -> tuple[tuple[int, ...], int]:
         """``I`` as integer numerators over their lcm denominator."""
-        nums, den = over_lcm(self.I)
+        nums, den = _over_lcm(self.I)
         return tuple(nums), den
 
 
@@ -236,7 +237,7 @@ def l3_table(l2: HodgeTable) -> HodgeTable:
     assumed: g = 0 already determines L3(0) = 1.
 
     Both rows are summed in integers: L2 as ``l2.L_int`` and the L3 solved
-    so far over its running lcm, by ``append_over_lcm`` as in ``series.div``,
+    so far over its running lcm, by ``_append_over_lcm`` as in ``series.div``,
     so each genus takes two integer dot products; the L3 values are read off
     the finished row.
     """
@@ -248,7 +249,7 @@ def l3_table(l2: HodgeTable) -> HodgeTable:
         weights = _l3_weights(g)
         known3 = sum(a * num for (a, _), num in zip(weights, nums))
         known2 = sum(b * num for (_, b), num in zip(weights, l2_nums))
-        den = append_over_lcm(
+        den = _append_over_lcm(
             nums, den, -(known3 * l2_den + known2 * den), l2_den * den * weights[g][0]
         )
     return HodgeTable(degree=3, L=[Fraction(num, den) for num in nums])

@@ -10,20 +10,24 @@ simple branch points of ``p2``, ``p3_full`` and ``p3_trans``, by Riemann-Hurwitz
 ``_connected_covers`` and ``_covers_by_genus`` read it.
 
 Enumeration folds the first n-1 slots from left to right, from the identity
-start state.  The state after a slot is the running product and, for
-connected counts, the partition of the sheets into the orbits of the
-permutations so far; tuples that reach the same state are kept once, with
-their multiplicity.  Simultaneous conjugation keeps the classes, the product
-and transitivity, so every member of a class has as many completions: the
-largest class among the first n-1 is fixed to one member, folded first as a
-slot of its own, and its tuples are counted |C| times.
+start state.  The state after a slot is the running product and the
+partition of the sheets into the orbits of the permutations so far; tuples
+that reach the same state are kept once, with their multiplicity.
+Simultaneous conjugation keeps the classes, the product and transitivity, so
+every member of a class has as many completions: the largest class among the
+first n-1 is fixed to one member, folded first as a slot of its own, and its
+tuples are counted |C| times.
 The last permutation is forced (it inverts the product), so closing the
-fold checks its cycle type and, for connected counts, that it joins the
-orbits into one.  Each conjugacy class is built from its cycle structure,
-never by scanning S_d: its moved points are chosen first, then its cycles
-are placed among them, one recursion level per non-trivial cycle.
-``hurwitz_count`` and ``_covers_by_genus`` share the start state (``_start``),
-the slot step and the close.
+fold checks its cycle type and that it joins the orbits into one.  The start
+state is the one reader of ``connected``: a connected count starts with each
+sheet its own orbit, any other count from one block, which no merge changes
+and so always passes the close.  ``_start`` gives that state and the fold's
+merge cache.  An empty profile folds as one unbranched point: nothing is
+folded, and the close asks for the identity.  Each conjugacy class is built
+from its cycle structure, never by scanning S_d: its moved points are chosen
+first, then its cycles are placed among them, one recursion level per
+non-trivial cycle.  ``hurwitz_count`` and ``_covers_by_genus`` share the
+start (``_start``), the slot step and the close.
 
 ``_covers_by_genus`` counts one cover family at every genus 0..gmax from a
 single fold.  A genus adds two simple points, so it folds two more slots into
@@ -236,24 +240,18 @@ def hurwitz_count(
     EnumerationBoundError if the product of the first n-1 conjugacy class
     sizes exceeds ``max_tuples``, or if their distinct classes would hold
     more than MAX_CLASS_ENTRIES image entries, and ValueError if
-    ``max_tuples`` is negative.
+    ``max_tuples`` is negative.  An empty profile is one unbranched point,
+    so its bound is the empty product 1.
     """
     if max_tuples < 0:
         raise ValueError("max_tuples must be >= 0")
     d = profile.degree
-    types = [t.parts for t in profile.profiles]
-    n = len(types)
-
-    if n == 0:
-        # The empty tuple generates the trivial group: connected only for d=1.
-        if connected and d > 1:
-            return Fraction(0)
-        return Fraction(1, math.factorial(d))
+    *folded_types, last = [t.parts for t in profile.profiles] or [(1,) * d]
 
     # Each distinct class size is formed once, and 1/d! only past the bound:
     # at large degrees every factorial(d) takes seconds.
-    sizes = {parts: _class_size(d, parts) for parts in set(types[:-1])}
-    raw = math.prod(sizes[parts] for parts in types[:-1])
+    sizes = {parts: _class_size(d, parts) for parts in set(folded_types)}
+    raw = math.prod(sizes[parts] for parts in folded_types)
     if raw > max_tuples:
         # The product is not shown: at large degrees it has millions of
         # decimal digits, and writing them out takes seconds.
@@ -265,9 +263,7 @@ def hurwitz_count(
         # (The fold needs d >= 2: itemgetter of one index is no tuple.)
         return weight
 
-    merged = _merger(d)
-    states = _start(d, connected)
-    folded_types = types[:-1]
+    states, merged = _start(d, connected)
     if sizes:
         # The fixed class: one member is the first slot, counted |C| times.
         fixed = max(sizes, key=sizes.get)
@@ -277,7 +273,7 @@ def hurwitz_count(
     classes = {parts: list(_class_images(d, parts)) for parts in set(folded_types)}
     for parts in folded_types:
         states = _fold_slot(states, classes[parts], merged)
-    return weight * _close(states, types[-1], connected, merged)
+    return weight * _close(states, last, merged)
 
 
 # A fold's states: (running product, orbit partition) -> multiplicity.
@@ -285,12 +281,12 @@ _States = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
 _Merger = Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]
 
 
-def _start(d: int, connected: bool) -> _States:
-    """The states before the first slot: the identity, with each sheet its
-    own orbit, or, for a count that does not ask for transitivity, one block
-    that no merge changes."""
+def _start(d: int, connected: bool) -> tuple[_States, _Merger]:
+    """The states before the first slot, and the fold's merge: the identity,
+    with each sheet its own orbit, or, for a count that does not ask for
+    transitivity, one block that no merge changes."""
     identity = tuple(range(d))
-    return {(identity, identity if connected else (0,) * d): 1}
+    return {(identity, identity if connected else (0,) * d): 1}, _merger(d)
 
 
 def _merger(d: int) -> _Merger:
@@ -325,11 +321,9 @@ def _fold_slot(
     return folded
 
 
-def _close(
-    states: _States, last_type: tuple[int, ...], connected: bool, merged: _Merger
-) -> int:
+def _close(states: _States, last_type: tuple[int, ...], merged: _Merger) -> int:
     """The tuples the states complete with a last permutation of cycle type
-    ``last_type``; with ``connected``, only the transitive ones."""
+    ``last_type`` that joins their orbits into one block."""
     # The last permutation is forced: product * last = identity.  It is the
     # inverse of the product, so it has the product's cycles.
     single_block = (0,) * sum(last_type)
@@ -337,7 +331,7 @@ def _close(
     for (product, part), multiplicity in states.items():
         if _type_of_images(product) != last_type:
             continue
-        if connected and merged(part, product) != single_block:
+        if merged(part, product) != single_block:
             continue
         total += multiplicity
     return total
@@ -369,8 +363,7 @@ def _covers_by_genus(
     if first < 1:
         raise ValueError("the special points leave no simple point at genus 0")
     simple = (2,) + (1,) * (d - 2)
-    merged = _merger(d)
-    states = _start(d, True)
+    states, merged = _start(d, True)
     for parts in special:
         states = _fold_slot(states, list(_class_images(d, parts)), merged)
     transpositions = list(_class_images(d, simple))
@@ -381,7 +374,7 @@ def _covers_by_genus(
         if g:
             states = _fold_slot(states, transpositions, merged)
             states = _fold_slot(states, transpositions, merged)
-        yield g, weight * _close(states, simple, True, merged)
+        yield g, weight * _close(states, simple, merged)
 
 
 def p2(g: int) -> Fraction:

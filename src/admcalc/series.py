@@ -14,10 +14,10 @@ read each value through the one convolution step, ``_convolved``.  One
 builder, ``_trig_sum``, makes every such trigonometric sum in one integer
 loop: sin and cos here, and the closed form's numerator and the cover-count
 EGFs in ``hodge``.  ``Fraction``s are built only where the API returns them:
-``coeffs``, ``coeff``, ``constant_term`` and ``egf_value``.  The two
-integer-row helpers are public, since ``hodge`` solves its tables with them
-too: ``over_lcm`` puts a row over its lcm, and ``append_over_lcm`` grows a
-row one value at a time, as ``div`` grows its quotient, and returns the new
+``coeffs``, ``coeff``, ``constant_term`` and ``egf_value``.  Two private
+integer-row helpers, which ``hodge`` also solves its tables with:
+``_over_lcm`` puts a row over its lcm, and ``_append_over_lcm`` grows a row
+one value at a time, as ``div`` grows its quotient, and returns the new
 lcm.  Binary operations insist on equal orders, so order bookkeeping
 mistakes surface as errors instead of silently wrong tails.
 
@@ -40,8 +40,6 @@ __all__ = [
     "OrderMismatchError",
     "SeriesDivisionError",
     "div",
-    "over_lcm",
-    "append_over_lcm",
     "sin_scaled",
     "cos_scaled",
     "egf_value",
@@ -67,16 +65,16 @@ def _as_rational(value: int | Fraction) -> int | Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as a rational coefficient")
 
 
-def over_lcm(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+def _over_lcm(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """``values`` as integer numerators over their lcm denominator."""
     den = math.lcm(*(value.denominator for value in values))
     return [value.numerator * (den // value.denominator) for value in values], den
 
 
-def append_over_lcm(nums: list[int], den: int, p, q) -> int:
+def _append_over_lcm(nums: list[int], den: int, p, q) -> int:
     """Append p/q to ``nums``, numerators over ``den`` rescaled in place to the
     lcm of the denominators, and return that lcm: from ``[]`` over 1, the
-    appends end as ``over_lcm`` of their values.  ``p`` and ``q`` may be
+    appends end as ``_over_lcm`` of their values.  ``p`` and ``q`` may be
     Fractions; a zero ``q`` raises ZeroDivisionError."""
     num, q = p.numerator * q.denominator, p.denominator * q.numerator
     # With q = 0 the floor division or the modulo below raises.
@@ -141,7 +139,7 @@ class TruncatedSeries(_Value):
     __hash__ = None
 
     def __init__(self, coeffs: Iterable[int | Fraction]):
-        nums, den = over_lcm([_as_rational(c) for c in coeffs])
+        nums, den = _over_lcm([_as_rational(c) for c in coeffs])
         if not nums:
             raise ValueError("a series needs at least one coefficient")
         factorial = 1
@@ -187,7 +185,7 @@ class TruncatedSeries(_Value):
             if not 0 <= exponent <= order:
                 raise ValueError(f"exponent {exponent} outside [0, {order}]")
             values[exponent] += _as_rational(value)
-        return cls._of(*over_lcm(values))
+        return cls._of(*_over_lcm(values))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -366,7 +364,7 @@ def div(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     q_den = 1
     for m, row in enumerate(itertools.islice(_pascal_rows(len(G)), v, None)):
         dot = _convolved(row, m, tail, H)
-        q_den = append_over_lcm(
+        q_den = _append_over_lcm(
             H, q_den, F[m + v] * g_den * q_den - dot * f_den, f_den * q_den * lead * row[m]
         )
     return TruncatedSeries._of(H, q_den)
@@ -381,8 +379,8 @@ def _trig_sum(parity: int, terms: Sequence[tuple[int | Fraction, int | Fraction]
     each power stepped from the one two exponents below."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    coeffs, s = over_lcm([_as_rational(c) for c, _ in terms])
-    bases, q = over_lcm([_as_rational(a) for _, a in terms])
+    coeffs, s = _over_lcm([_as_rational(c) for c, _ in terms])
+    bases, q = _over_lcm([_as_rational(a) for _, a in terms])
     powers = [n**parity for n in bases]
     squares = [n * n for n in bases]
     q_power = q ** max(order - parity, 0)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from collections import Counter
@@ -21,6 +22,7 @@ from admcalc.hurwitz import (
     permutations_with_type,
 )
 from admcalc.hurwitz import _class_images, _connected_covers, _covers_by_genus
+from admcalc.series import egf_value
 
 PARTITIONS = {
     1: [(1,)],
@@ -200,6 +202,13 @@ def test_empty_profile():
     assert hurwitz_count(BranchProfile(1, ())) == 1
     assert hurwitz_count(BranchProfile(2, ())) == 0
     assert hurwitz_count(BranchProfile(2, ()), connected=False) == Fraction(1, 2)
+    assert hurwitz_count(BranchProfile(3, ()), connected=False) == Fraction(1, 6)
+    # One unbranched point: the bound is the empty product 1, as for one point.
+    for empty in (BranchProfile(2, ()), profile(2, (1, 1))):
+        with pytest.raises(EnumerationBoundError):
+            hurwitz_count(empty, max_tuples=0)
+        assert hurwitz_count(empty, max_tuples=1) == 0
+        assert hurwitz_count(empty, connected=False, max_tuples=1) == Fraction(1, 2)
 
 
 def test_single_point_profile():
@@ -479,6 +488,83 @@ def test_fold_by_genus_matches_the_closed_forms():
         assert all(
             value == closed(g) for g, value in _covers_by_genus(d, 200, *special)
         )
+
+
+ONE_PART_GMAX = {2: 8, 3: 8, 4: 6, 5: 5, 6: 5, 7: 2}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_one_part_fold_matches_the_sine_power(data):
+    # One d-cycle and 2g+d-1 simple points (Shapiro-Shapiro-Vainshtein):
+    # (-1)^g d^(2g+d-2) v / d!, with v the EGF value at x^(2g+d-1) of
+    # (2 sin(x/2))^(d-1), the closed forms' numerator, which no verify
+    # suite reads above degree 3.
+    d = data.draw(st.integers(2, 7), label="d")
+    gmax = data.draw(st.integers(0, ONE_PART_GMAX[d]), label="gmax")
+    numerator = hodge._sine_power(d - 1, 2 * gmax + d - 1)
+    for g, value in _covers_by_genus(d, gmax, (d,)):
+        v = egf_value(numerator, 2 * g + d - 1)
+        assert value == (-1) ** g * d ** (2 * g + d - 2) * v / math.factorial(d)
+
+
+def shapes(d, largest=None):
+    """The partitions of d, as Young diagram row lengths."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(min(d, largest or d), 0, -1):
+        for rest in shapes(d - first, first):
+            yield (first,) + rest
+
+
+def dimension(shape):
+    """dim of the irreducible representation, by the hook-length formula."""
+    columns = [sum(row > j for row in shape) for j in range(max(shape, default=0))]
+    hooks = math.prod(
+        (row - j) + (columns[j] - i) - 1 for i, row in enumerate(shape) for j in range(row)
+    )
+    return math.factorial(sum(shape)) // hooks
+
+
+@functools.cache
+def simple_covers(d, r):
+    """Tuples of r transpositions in S_d with product 1, weighted by 1/d!
+    (Frobenius): the sum over shapes of (dim / d!)^2 times the content sum,
+    the transposition's central character, to the r."""
+    return sum(
+        Fraction(dimension(shape), math.factorial(d)) ** 2
+        * sum(j - i for i, row in enumerate(shape) for j in range(row)) ** r
+        for shape in shapes(d)
+    )
+
+
+@functools.cache
+def connected_simple_covers(d, r):
+    """The transitive ones, by the exponential formula on the component of
+    sheet 1 (Goulden-Jackson): it has k sheets and r1 of the points."""
+    total = simple_covers(d, r)
+    for k in range(1, d):
+        for r1 in range(r + 1):
+            total -= (
+                math.comb(d - 1, k - 1) * math.comb(r, r1)
+                * connected_simple_covers(k, r1) * simple_covers(d - k, r - r1)
+                * Fraction(math.factorial(k) * math.factorial(d - k), math.factorial(d))
+            )
+    return total
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5), st.integers(0, 6))
+def test_content_sums_match_the_fold(d, gmax):
+    # All-simple covers, 2g+2d-2 points at genus g: no enumeration here.
+    for g, value in _covers_by_genus(d, gmax):
+        assert value == connected_simple_covers(d, 2 * g + 2 * d - 2)
+
+
+def test_content_sums_match_the_p3_trans_closed_form():
+    for g in range(30):
+        assert connected_simple_covers(3, 2 * g + 4) == hodge.p3_trans_closed(g)
 
 
 def test_fold_by_genus_needs_a_simple_point_at_genus_0():

@@ -12,12 +12,12 @@ from admcalc.series import (
     OrderMismatchError,
     SeriesDivisionError,
     TruncatedSeries,
+    _append_over_lcm,
+    _over_lcm,
     _trig_sum,
-    append_over_lcm,
     cos_scaled,
     div,
     egf_value,
-    over_lcm,
     sin_scaled,
 )
 
@@ -472,8 +472,8 @@ def test_running_lcm_appends_end_as_the_over_lcm_of_the_row(values, q):
         p, q_k = [
             (value.numerator, value.denominator), (value * q, q), (value / q, Fraction(1, q))
         ][k % 3]
-        den = append_over_lcm(nums, den, p, q_k)
-        assert (nums, den) == over_lcm(values[: k + 1])
+        den = _append_over_lcm(nums, den, p, q_k)
+        assert (nums, den) == _over_lcm(values[: k + 1])
 
 
 # -- the EGF kernel against Fraction oracles on EGF values -------------------
