@@ -134,24 +134,30 @@ def _check_roles(l2: HodgeTable, l3: HodgeTable | None = None) -> None:
             )
 
 
-def p2_closed(g: int) -> Fraction:
-    """Count of genus-g connected double covers (any g): always 1/2."""
+def _check_genus(g: int) -> None:
+    """Refuse a genus that is not an int (``TypeError``) or is negative
+    (``ValueError``)."""
+    if not isinstance(g, int):
+        raise TypeError(f"genus must be an int, not {g!r}")
     if g < 0:
         raise ValueError("genus must be >= 0")
+
+
+def p2_closed(g: int) -> Fraction:
+    """Count of genus-g connected double covers (any g): always 1/2."""
+    _check_genus(g)
     return _HALF
 
 
 def p3_full_closed(g: int) -> int:
     """Closed form 9^g for the triple-point branched-cover count."""
-    if g < 0:
-        raise ValueError("genus must be >= 0")
+    _check_genus(g)
     return 9**g
 
 
 def p3_trans_closed(g: int) -> int:
     """Closed form (9^(g+1)-1)/2 for the all-simple branched-cover count."""
-    if g < 0:
-        raise ValueError("genus must be >= 0")
+    _check_genus(g)
     return (9 ** (g + 1) - 1) // 2
 
 
@@ -410,8 +416,7 @@ def j_relation_check(g: int) -> bool:
     coefficient of the J closed form 2 * I_2(x)^2, read off
     ``TableSource.closed_form``.  No command calls it; the tests and the
     benchmark's tracer do."""
-    if g < 0:
-        raise ValueError("genus must be >= 0")
+    _check_genus(g)
     order = 2 * g + 2
     closed = TableSource(0).closed_form("J", 2, order)
     return l2_table(g).J[g] == egf_value(closed, order)

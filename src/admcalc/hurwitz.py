@@ -21,13 +21,16 @@ The last permutation is forced (it inverts the product), so closing the
 fold checks its cycle type and that it joins the orbits into one.  The start
 state is the one reader of ``connected``: a connected count starts with each
 sheet its own orbit, any other count from one block, which no merge changes
-and so always passes the close.  ``_start`` gives that state and the fold's
-merge cache.  An empty profile folds as one unbranched point: nothing is
-folded, and the close asks for the identity.  Each conjugacy class is built
-from its cycle structure, never by scanning S_d: its moved points are chosen
-first, then its cycles are placed among them, one recursion level per
-non-trivial cycle.  ``hurwitz_count`` and ``_covers_by_genus`` share the
-start (``_start``), the slot step and the close.
+and so always passes the close.  A merge relabels: each sheet whose image
+lies in another block joins the two under the smaller label.  ``_start``
+gives the start state and ``_merge`` cached by ``functools.cache`` for one
+fold, with the single block left out of the cache.  An empty profile folds
+as one unbranched point: nothing is folded, and the close asks for the
+identity.  Each conjugacy class is built from its cycle structure, never by
+scanning S_d: its moved points are chosen first, then its cycles are placed
+among them, one recursion level per non-trivial cycle.  ``hurwitz_count``
+and ``_covers_by_genus`` share the start (``_start``), the slot step and the
+close.
 
 ``_covers_by_genus`` counts one cover family at every genus 0..gmax from a
 single fold.  A genus adds two simple points, so it folds two more slots into
@@ -50,6 +53,7 @@ recursion that builds a class stays shallow.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
@@ -124,6 +128,8 @@ class BranchProfile(_Value):
     _fields = ("degree", "profiles")
 
     def __init__(self, degree: int, profiles: tuple[CycleType, ...]):
+        if not isinstance(degree, int):
+            raise ValueError(f"degree must be an int, not {degree!r}")
         if degree < 1:
             raise ValueError("degree must be >= 1")
         profiles = tuple(profiles)
@@ -206,27 +212,17 @@ def _merge(part: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
     """Coarsen a set partition of {0..d-1} by the cycles of a permutation.
 
     Partitions are canonical tuples: index i maps to the least element of
-    its block, so the single-block partition is all zeros.
+    its block, so the single-block partition is all zeros.  A sheet and its
+    image in two blocks relabel the one with the larger label by the
+    smaller, so every label stays the least element of its block.
     """
-    # Union-find over the block minima; linking the larger root under the
-    # smaller keeps every root the least element of its merged block.
-    root = list(range(len(part)))
-    for a, b in zip(part, images):
-        b = part[b]
-        while root[a] != a:
-            a = root[a]
-        while root[b] != b:
-            b = root[b]
-        if a < b:
-            root[b] = a
-        elif b < a:
-            root[a] = b
-    merged = []
-    for a in part:
-        while root[a] != a:
-            a = root[a]
-        merged.append(a)
-    return tuple(merged)
+    label = list(part)
+    for i, j in enumerate(images):
+        a, b = label[i], label[j]
+        if a != b:
+            low, high = min(a, b), max(a, b)
+            label = [low if x == high else x for x in label]
+    return tuple(label)
 
 
 def hurwitz_count(
@@ -282,30 +278,21 @@ _Merger = Callable[[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]
 
 
 def _start(d: int, connected: bool) -> tuple[_States, _Merger]:
-    """The states before the first slot, and the fold's merge: the identity,
-    with each sheet its own orbit, or, for a count that does not ask for
-    transitivity, one block that no merge changes."""
+    """The states before the first slot, and the fold's merge.
+
+    The states are the identity, with each sheet its own orbit, or, for a
+    count that does not ask for transitivity, one block that no merge
+    changes.  The merge is ``_merge`` cached for this fold alone; the single
+    block is returned as it is and kept out of the cache.
+    """
     identity = tuple(range(d))
-    return {(identity, identity if connected else (0,) * d): 1}, _merger(d)
-
-
-def _merger(d: int) -> _Merger:
-    """``_merge`` on partitions of {0..d-1}, cached for one fold; the single
-    block merges to itself."""
     single_block = (0,) * d
-    cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+    cached = functools.cache(_merge)
 
     def merged(part: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
-        if part == single_block:
-            return part
-        key = (part, images)
-        got = cache.get(key)
-        if got is None:
-            got = _merge(part, images)
-            cache[key] = got
-        return got
+        return part if part == single_block else cached(part, images)
 
-    return merged
+    return {(identity, identity if connected else single_block): 1}, merged
 
 
 def _fold_slot(

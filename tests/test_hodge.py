@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -386,6 +387,19 @@ def test_closed_form_readers_keep_their_domains():
         closed_form_L3(1)
     with pytest.raises(ValueError, match="genus must be >= 0"):
         j_relation_check(-1)
+
+
+@pytest.mark.parametrize(
+    "read", [p2_closed, p3_full_closed, p3_trans_closed, j_relation_check]
+)
+def test_genus_readers_refuse_a_genus_that_is_not_an_int(read):
+    # p3_full_closed(1.0) used to return the float 9.0.
+    for bad in (1.0, F(3, 2), "2"):
+        message = f"^genus must be an int, not {re.escape(repr(bad))}$"
+        with pytest.raises(TypeError, match=message):
+            read(bad)
+    with pytest.raises(ValueError, match="^genus must be >= 0$"):
+        read(-1)
 
 
 # -- conjecture ------------------------------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
@@ -21,7 +22,12 @@ from admcalc.hurwitz import (
     p3_trans,
     permutations_with_type,
 )
-from admcalc.hurwitz import _class_images, _connected_covers, _covers_by_genus
+from admcalc.hurwitz import (
+    _class_images,
+    _connected_covers,
+    _covers_by_genus,
+    _merge,
+)
 from admcalc.series import egf_value
 
 PARTITIONS = {
@@ -91,6 +97,12 @@ def test_cycle_type_normalises_and_validates():
 def test_branch_profile_validation():
     with pytest.raises(ValueError, match="^degree must be >= 1$"):
         BranchProfile(0, ())
+    # A float degree would compare equal to the int one and fail deep in
+    # the count.
+    for bad in (2.0, Fraction(2), "2", None):
+        message = f"^degree must be an int, not {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            BranchProfile(bad, ())
     with pytest.raises(ValueError, match=r"^cycle type \(2, 2\) does not partition 3$"):
         profile(3, (2, 2))
     with pytest.raises(ValueError, match=r"^cycle type \(2, 1\) does not partition 4$"):
@@ -324,6 +336,70 @@ def test_one_class_is_fixed_to_one_member(monkeypatch):
     built = spy_class_images(monkeypatch)
     assert hurwitz_count(profile(7, (7,), (2, 1, 1, 1, 1, 1), (6, 1))) == 1
     assert built == {(7,): 1, (2, 1, 1, 1, 1, 1): 21}
+
+
+# -- the merge: orbits of the sheets -----------------------------------------
+
+
+def orbit_closure(part, images):
+    """Each sheet's least sheet reachable through same-block pairs and the
+    pairs (i, images[i]), computed to a fixpoint."""
+    d = len(part)
+    pairs = [(i, j) for i in range(d) for j in range(d) if part[i] == part[j]]
+    pairs += list(enumerate(images))
+    least = list(range(d))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in pairs:
+            low = min(least[i], least[j])
+            if least[i] != low or least[j] != low:
+                least[i] = least[j] = low
+                changed = True
+    return tuple(least)
+
+
+@st.composite
+def partitions_and_permutations(draw):
+    d = draw(st.integers(1, 9))
+    images = tuple(draw(st.permutations(range(d))))
+    labels = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+    part = tuple(labels.index(label) for label in labels)
+    return part, images
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(partitions_and_permutations())
+def test_merge_matches_the_orbit_closure(drawn):
+    part, images = drawn
+    assert _merge(part, images) == orbit_closure(part, images)
+
+
+def spy_merge(monkeypatch):
+    """Patch ``_merge`` to record the (part, images) pairs it is called on."""
+    calls = []
+
+    def spy(part, images):
+        calls.append((part, images))
+        return _merge(part, images)
+
+    monkeypatch.setattr(hurwitz, "_merge", spy)
+    return calls
+
+
+def test_fold_merges_each_pair_once(monkeypatch):
+    # The fold's merge is cached for the fold, and the single block, which
+    # no merge changes, never reaches it.
+    calls = spy_merge(monkeypatch)
+    assert hurwitz_count(profile(5, (3, 1, 1), (2, 2, 1), (4, 1), (4, 1))) == 33
+    assert calls and len(set(calls)) == len(calls)
+    assert all(any(part) for part, _ in calls)
+
+    # A disconnected count starts from the single block, so it merges nothing.
+    calls = spy_merge(monkeypatch)
+    types = (4, 1), (3, 1, 1), (3, 1, 1), (4, 1)
+    assert hurwitz_count(profile(5, *types), connected=False) == 52
+    assert calls == []
 
 
 # -- guardrail -------------------------------------------------------------
